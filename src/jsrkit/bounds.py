@@ -21,6 +21,7 @@ improve it.  Results are bit-identical to the fully exhaustive computation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
@@ -42,6 +43,8 @@ from jsrkit.core import (
     batch_spectral_radii,
     check_budget,
     count_words,
+    product_levels,
+    word_from_index,
 )
 
 __all__ = [
@@ -152,23 +155,6 @@ class JsrConfig:
     target_width: float | None = None
 
 
-def _word_from_index(idx: int, length: int, size: int) -> Word:
-    digits = []
-    for _ in range(length):
-        digits.append(idx % size)
-        idx //= size
-    return tuple(reversed(digits))
-
-
-def _level_children(level: np.ndarray, s: MatrixSet) -> np.ndarray:
-    """Extend every word by one letter; child index = parent * size + letter."""
-    m, d = s.size, s.dim
-    out = np.empty((level.shape[0] * m, d, d), dtype=np.complex128)
-    for i in range(m):
-        out[i::m] = np.einsum("ij,njk->nik", s.members[i].entries, level)
-    return out
-
-
 def _sweep(
     s: MatrixSet,
     depth: int,
@@ -192,13 +178,13 @@ def _sweep(
     budget_hit = False
     early_stop = False
 
-    level = None
+    levels = product_levels(s, depth)
     for k in range(1, depth + 1):
         level_count = m**k
         if words_seen + level_count > word_cap:
             budget_hit = True
             break
-        level = s.stack if k == 1 else _level_children(level, s)
+        level = next(levels)
         words_seen += level_count
         depth_reached = k
 
@@ -249,7 +235,7 @@ def _sweep(
         final_cut = best_low * (1 - 1e-12)
         for k, idx, val in candidates:
             if val >= final_cut:
-                witness = _word_from_index(idx, k, m)
+                witness = word_from_index(idx, k, m)
                 break
 
     diagnostics = {
@@ -437,10 +423,8 @@ def rota_strang_norm(
     x_norm = float(np.linalg.norm(v))
 
     value = x_norm
-    level = None
     level_norms = []  # ||S^k||_2 for k = 1..trunc
-    for k in range(1, trunc + 1):
-        level = s.stack if k == 1 else _level_children(level, s)
+    for k, level in enumerate(product_levels(s, trunc), start=1):
         level_norms.append(float(batch_operator_norms(level, SPECTRAL).max()))
         value += float(np.linalg.norm(level @ v, axis=1).max()) * r**k
 
@@ -474,16 +458,14 @@ class PolytopeNorm:
     ``||eval(w) x||_2 / rho_hat^|w|``.  With rho_hat close to the jsr this
     approximates an extremal norm: applying any member inflates v by at
     most ``rho_hat * (1 + slack)``, where ``slack`` is measured on the
-    stored sample of directions.  ``vertices`` lists the nonzero rows of
-    the scaled products; they span the space (the identity is always
-    stored), which makes v a genuine norm.
+    stored sample of directions.  The identity is always stored, which
+    makes v a genuine norm.
     """
 
     rho_hat: float
     depth: int
     words: tuple[Word, ...]
     matrices: np.ndarray  # (count, d, d), scaled by rho_hat^-|w|
-    vertices: tuple[np.ndarray, ...]
     slack: float
     sample_size: int
     seed: int
@@ -495,11 +477,6 @@ class PolytopeNorm:
     def evaluate(self, x) -> float:
         v = np.asarray(x, dtype=np.complex128).reshape(-1)
         return float(np.linalg.norm(self.matrices @ v, axis=1).max())
-
-    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Norms of the columns of a (d, count) array."""
-        imgs = self.matrices @ xs  # (count_w, d, count_x)
-        return np.linalg.norm(imgs, axis=1).max(axis=0)
 
 
 def barabanov_approx(
@@ -524,16 +501,17 @@ def barabanov_approx(
         raise ValueError("depth must be >= 1")
     check_budget(s.size, depth, word_cap, f"barabanov_approx to depth {depth}")
     d = s.dim
-    words: list[Word] = [()]
-    mats = [np.eye(d, dtype=np.complex128)]
-    level = None
-    for k in range(1, depth + 1):
-        level = s.stack if k == 1 else _level_children(level, s)
-        scale = rho_hat**-k
-        for idx in range(level.shape[0]):
-            words.append(_word_from_index(idx, k, s.size))
-            mats.append(level[idx] * scale)
-    matrices = np.stack(mats)
+    # itertools.product order is the engine's row order
+    words = [()] + [
+        w for k in range(1, depth + 1) for w in itertools.product(range(s.size), repeat=k)
+    ]
+    matrices = np.concatenate(
+        [np.eye(d, dtype=np.complex128)[np.newaxis]]
+        + [
+            level * rho_hat**-k
+            for k, level in enumerate(product_levels(s, depth), start=1)
+        ]
+    )
     matrices.flags.writeable = False
 
     rng = np.random.default_rng(seed)
@@ -549,15 +527,11 @@ def barabanov_approx(
         worst = max(worst, float((imgs / (rho_hat * base)).max()))
     slack = worst - 1.0
 
-    vertices = tuple(
-        row.copy() for mat in mats for row in mat if np.abs(row).max() > 0
-    )
     pn = PolytopeNorm(
         rho_hat=rho_hat,
         depth=depth,
         words=tuple(words),
         matrices=matrices,
-        vertices=vertices,
         slack=slack,
         sample_size=sample_size,
         seed=seed,

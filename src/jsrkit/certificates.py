@@ -24,8 +24,6 @@ import numpy as np
 from .bounds import (
     JsrInterval,
     PolytopeNorm,
-    _level_children,
-    _word_from_index,
     jsr_estimate,
     lower_bound,
 )
@@ -47,10 +45,11 @@ from .core import (
     count_words,
     eval_word,
     operator_norm,
-    product_set,
+    product_levels,
     set_norm,
     spectral_radius,
     vector_norm,
+    word_from_index,
 )
 
 
@@ -142,7 +141,7 @@ def _coordinate_bound(n: NormSpec) -> float:
         return 1.0
     if n.kind is NormKind.ELLIPSOIDAL:
         return float(np.linalg.svd(n.g_inv, compute_uv=False)[0])
-    raise ValueError("polytope norms are not supported by the combination search")
+    raise ValueError(f"unknown norm kind {n.kind!r}")
 
 
 def siegel_combination(
@@ -278,9 +277,8 @@ def convex_hull_bound_check(
         raise ValueError(
             f"hypothesis not met: peak radius {eps} over depth {n * d} exceeds 1"
         )
-    pool = np.concatenate(
-        [product_set(s, k, word_cap=word_cap).stack for k in range(1, n + 1)]
-    )
+    # lower_bound has already checked the budget of these n <= n * d levels
+    pool = np.concatenate(list(product_levels(s, n)))
     bound = 2.0 * d * eps
     max_radius = float(batch_spectral_radii(pool).max())
     rng = np.random.default_rng(seed)
@@ -493,10 +491,7 @@ def near_idempotent_search(
         raise ValueError("maxlen must be >= 1")
     check_budget(s.size, maxlen, word_cap, f"near_idempotent_search to {maxlen}")
     best: tuple[float, Word] | None = None
-    level = s.stack
-    for k in range(1, maxlen + 1):
-        if k > 1:
-            level = _level_children(level, s)
+    for k, level in enumerate(product_levels(s, maxlen), start=1):
         norms = batch_operator_norms(level, SPECTRAL)
         ok = np.flatnonzero(norms >= 0.5)
         if ok.size:
@@ -506,7 +501,7 @@ def near_idempotent_search(
             ) / norms[ok]
             i = int(np.argmin(defects))
             if best is None or defects[i] < best[0]:
-                best = (float(defects[i]), _word_from_index(int(ok[i]), k, s.size))
+                best = (float(defects[i]), word_from_index(int(ok[i]), k, s.size))
     if best is None or best[0] > tol:
         return None
     return best[1], best[0]
@@ -602,7 +597,8 @@ def check_boca_new(
     if n1 < 1:
         raise BudgetExceededError(s.size, word_cap, "power norm at exponent 1")
     clamped = n1 < n1_full
-    stack = product_set(s, n1, word_cap=word_cap).stack
+    for stack in product_levels(s, n1):
+        pass
     norms = batch_operator_norms(stack, n)
     idx = int(np.argmax(norms))
     lhs = float(norms[idx])
@@ -621,7 +617,7 @@ def check_boca_new(
         rhs_lo,
         rhs_up,
         verdict,
-        witnesses={"word": _word_from_index(idx, n1, s.size), "ratio": ratio},
+        witnesses={"word": word_from_index(idx, n1, s.size), "ratio": ratio},
         budget={"n1": n1, "n1_full": n1_full, "clamped": clamped},
     )
 

@@ -23,7 +23,6 @@ from .families import FAMILY_NAMES, build_family
 from .ultrametric import (
     PAdicMatrixSet,
     check_ultra_boca,
-    padic_jsr_exact,
     padic_nilpotency_exact,
 )
 
@@ -117,7 +116,7 @@ def _load_document(path: str) -> InputDocument:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _emit_report(report: RunReport, quiet: bool):
+def _emit_report(report: RunReport):
     sys.stdout.write(report.emit())
     sys.stdout.flush()
 
@@ -196,7 +195,7 @@ def cmd_estimate(args) -> int:
             results,
             t0,
         )
-        _emit_report(report, args.quiet)
+        _emit_report(report)
         _note(
             args.quiet,
             f"{path}: interval [{interval.lower:.12g}, {interval.upper:.12g}]"
@@ -278,7 +277,7 @@ def cmd_certify(args) -> int:
             results,
             t0,
         )
-        _emit_report(report, args.quiet)
+        _emit_report(report)
         _note(args.quiet, f"{path}: {args.theorem} {rep.verdict.name}")
         worst = max(worst, _VERDICT_EXIT[rep.verdict])
         rows.append(
@@ -325,14 +324,13 @@ def cmd_padic(args) -> int:
             ps = PAdicMatrixSet.from_rows(
                 [[list(row) for row in m] for m in ps.members], args.prime
             )
-        res = padic_jsr_exact(ps, word_cap=args.cap)
         boca = check_ultra_boca(ps, word_cap=args.cap)
         nilpotent = padic_nilpotency_exact(ps)
         results = {
             "prime": ps.prime,
-            "rho_exponent": _magnitude_record(res.rho),
-            "rho_is_zero": res.rho.is_bottom,
-            "witness": list(res.witness),
+            "rho_exponent": _magnitude_record(boca.rho),
+            "rho_is_zero": boca.rho.is_bottom,
+            "witness": list(boca.rho_witness),
             "power_inequality": {
                 "holds": boca.holds,
                 "lhs_exponent": _magnitude_record(boca.lhs),
@@ -349,11 +347,11 @@ def cmd_padic(args) -> int:
             results,
             t0,
         )
-        _emit_report(report, args.quiet)
+        _emit_report(report)
         rho_repr = (
             "0"
-            if res.rho.is_bottom
-            else f"{ps.prime}^({-res.rho.exponent})"
+            if boca.rho.is_bottom
+            else f"{ps.prime}^({-boca.rho.exponent})"
         )
         _note(args.quiet, f"{path}: rho = {rho_repr}, nilpotent = {nilpotent}")
         if not boca.holds:
@@ -363,7 +361,7 @@ def cmd_padic(args) -> int:
                 path,
                 report.input_digest,
                 ps.prime,
-                "bottom" if res.rho.is_bottom else str(res.rho.exponent),
+                "bottom" if boca.rho.is_bottom else str(boca.rho.exponent),
                 nilpotent,
                 boca.holds,
                 f"{report.wall_time_s:.6f}",
@@ -408,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=WORD_CAP, help="word budget")
     common.add_argument("--seed", type=int, default=0, help="seed echoed in reports")
     common.add_argument("--csv", metavar="PATH", help="write a CSV summary")
-    common.add_argument("--quiet", action="store_true", help="suppress diagnostics")
+    common.add_argument("--quiet", action="store_true", help="silence stderr notes, not reports")
 
     est = sub.add_parser("estimate", parents=[common], help="sandwich interval for the jsr")
     est.add_argument("inputs", nargs="+", metavar="INPUT", help="document path or -")

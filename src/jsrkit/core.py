@@ -39,8 +39,9 @@ __all__ = [
     "operator_norm",
     "vector_norm",
     "set_norm",
-    "enumerate_products",
     "count_words",
+    "word_from_index",
+    "product_levels",
     "product_set",
 ]
 
@@ -209,7 +210,7 @@ def validate_word(word: Sequence[int], set_size: int) -> Word:
 
 
 def eval_word(s: MatrixSet, word: Sequence[int]) -> np.ndarray:
-    """Evaluate a word to its matrix product (rightmost letter applied first).
+    """Evaluate a word to its matrix product (``word[0]`` acts first).
 
     The empty word evaluates to the identity.
     """
@@ -228,7 +229,6 @@ class NormKind(enum.Enum):
     MAX_ROW_SUM = "max_row_sum"
     MAX_COL_SUM = "max_col_sum"
     ELLIPSOIDAL = "ellipsoidal"
-    POLYTOPE = "polytope"
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,14 +237,11 @@ class NormSpec:
 
     SPECTRAL is the largest singular value, MAX_ROW_SUM / MAX_COL_SUM are
     the exact operator norms induced by the sup / sum vector norms, and
-    ELLIPSOIDAL(g) is ``A -> ||g A g^-1||_2`` for an invertible g.  The
-    POLYTOPE kind wraps an adapted polytope vector norm built elsewhere;
-    it supports vector evaluation only, not induced operator norms.
+    ELLIPSOIDAL(g) is ``A -> ||g A g^-1||_2`` for an invertible g.
     """
 
     kind: NormKind
     g: np.ndarray | None = None
-    polytope: object | None = None  # bounds.PolytopeNorm
 
     def __post_init__(self):
         if self.kind is NormKind.ELLIPSOIDAL:
@@ -263,8 +260,6 @@ class NormSpec:
             object.__setattr__(self, "g", g)
         elif self.g is not None:
             raise ValueError("only the ellipsoidal kind takes a factor g")
-        if self.kind is NormKind.POLYTOPE and self.polytope is None:
-            raise ValueError("polytope norm needs the polytope object")
 
     @cached_property
     def g_inv(self) -> np.ndarray:
@@ -289,10 +284,6 @@ class NormSpec:
     @staticmethod
     def ellipsoidal(g) -> "NormSpec":
         return NormSpec(NormKind.ELLIPSOIDAL, g=np.asarray(g, dtype=np.complex128))
-
-    @staticmethod
-    def from_polytope(p) -> "NormSpec":
-        return NormSpec(NormKind.POLYTOPE, polytope=p)
 
     def __repr__(self):
         return f"NormSpec({self.kind.value})"
@@ -336,8 +327,7 @@ def batch_operator_norms(stack: np.ndarray, n: NormSpec = SPECTRAL) -> np.ndarra
     """Operator norms of a (count, d, d) stack under ``n``.
 
     Row/column sums are exact; the spectral and ellipsoidal kinds go through
-    singular values.  Polytope norms have no induced-operator-norm evaluation
-    and are rejected.
+    singular values.
     """
     if stack.shape[0] == 0:
         return np.zeros(0)
@@ -350,17 +340,14 @@ def batch_operator_norms(stack: np.ndarray, n: NormSpec = SPECTRAL) -> np.ndarra
     if n.kind is NormKind.ELLIPSOIDAL:
         conj = np.einsum("ij,njk,kl->nil", n.g, stack, n.g_inv)
         return np.linalg.svd(conj, compute_uv=False)[..., 0]
-    raise ValueError(
-        f"operator norms are not defined for the {n.kind.value} kind; "
-        f"use vector_norm instead"
-    )
+    raise ValueError(f"unknown norm kind {n.kind!r}")
 
 
 def vector_norm(x, n: NormSpec = SPECTRAL) -> float:
     """The vector norm that induces ``n`` as an operator norm.
 
     SPECTRAL -> Euclidean, MAX_ROW_SUM -> sup, MAX_COL_SUM -> sum,
-    ELLIPSOIDAL(g) -> ||g x||_2, POLYTOPE -> the stored polytope norm.
+    ELLIPSOIDAL(g) -> ||g x||_2.
     """
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
     if n.kind is NormKind.SPECTRAL:
@@ -371,8 +358,6 @@ def vector_norm(x, n: NormSpec = SPECTRAL) -> float:
         return float(np.abs(v).sum())
     if n.kind is NormKind.ELLIPSOIDAL:
         return float(np.linalg.norm(n.g @ v))
-    if n.kind is NormKind.POLYTOPE:
-        return float(n.polytope.evaluate(v))
     raise ValueError(f"unknown norm kind {n.kind!r}")
 
 
@@ -400,52 +385,36 @@ def check_budget(set_size: int, depth: int, word_cap: int, what: str) -> int:
     return needed
 
 
-def enumerate_products(
-    s: MatrixSet,
-    depth: int,
-    prune: float = 0.0,
-    n: NormSpec = SPECTRAL,
-    *,
-    word_cap: int = WORD_CAP,
-    first_letters: Sequence[int] | None = None,
-) -> Iterator[tuple[Word, np.ndarray]]:
-    """Stream (word, product) pairs for all words of length 1..depth.
+def word_from_index(idx: int, length: int, size: int) -> Word:
+    """The word at row ``idx`` of the length-``length`` level.
 
-    Words come out in depth-first preorder: ``(0), (0,0), ..., (1), ...``.
-    With ``prune > 0``, a word is emitted only if every prefix product has
-    norm strictly above the threshold; the subtree below a failing prefix
-    is skipped entirely (valid for search because norms are
-    submultiplicative).  ``prune = 0`` streams everything, including exact
-    zero products.
-
-    ``first_letters`` restricts the walk to subtrees rooted at the given
-    initial letters, which is how parallel consumers partition the tree.
-    The stream is freshly computed per call and safe to consume anywhere.
+    Rows follow the child index convention ``parent * size + letter``, so
+    the index spells the word in base ``size`` with ``word[0]`` as its most
+    significant digit: the rows are in ``itertools.product`` order.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    check_budget(s.size, depth, word_cap, "enumerate_products")
-    roots = range(s.size) if first_letters is None else validate_word(first_letters, s.size)
-    mats = [m.entries for m in s.members]
-    do_prune = prune > 0.0
+    digits = []
+    for _ in range(length):
+        digits.append(idx % size)
+        idx //= size
+    return tuple(reversed(digits))
 
-    def _norm1(p: np.ndarray) -> float:
-        return float(batch_operator_norms(p[np.newaxis], n)[0])
 
-    def walk(word: Word, prod: np.ndarray) -> Iterator[tuple[Word, np.ndarray]]:
-        yield word, prod
-        if len(word) < depth:
-            for i in range(s.size):
-                child = mats[i] @ prod
-                if do_prune and _norm1(child) <= prune:
-                    continue
-                yield from walk(word + (i,), child)
+def product_levels(s: MatrixSet, depth: int) -> Iterator[np.ndarray]:
+    """Yield the (size**k, d, d) stack of all length-k products, k = 1..depth.
 
-    for r in roots:
-        prod = mats[r]
-        if do_prune and _norm1(prod) <= prune:
-            continue
-        yield from walk((r,), prod)
+    Row i of level k is ``eval_word(s, word_from_index(i, k, s.size))``.
+    Each level is built from the previous one only when it is asked for,
+    so a caller can check a budget before pulling the next level.
+    """
+    m, d = s.size, s.dim
+    level = s.stack
+    for k in range(1, depth + 1):
+        if k > 1:
+            nxt = np.empty((level.shape[0] * m, d, d), dtype=np.complex128)
+            for i in range(m):
+                nxt[i::m] = np.einsum("ij,njk->nik", s.members[i].entries, level)
+            level = nxt
+        yield level
 
 
 def product_set(
@@ -459,12 +428,6 @@ def product_set(
         raise ValueError("k must be >= 1")
     if s.size ** k > word_cap:
         raise BudgetExceededError(s.size**k, word_cap, f"product_set at power {k}")
-    level = s.stack
-    for _ in range(k - 1):
-        m, d = s.size, s.dim
-        nxt = np.empty((level.shape[0] * m, d, d), dtype=np.complex128)
-        for i in range(m):
-            # child index convention: parent * size + letter
-            nxt[i::m] = np.einsum("ij,njk->nik", s.members[i].entries, level)
-        level = nxt
+    for level in product_levels(s, k):
+        pass
     return MatrixSet.from_arrays(list(level), check_duplicates=False)

@@ -15,12 +15,11 @@ every finite magnitude.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import WORD_CAP, BudgetExceededError, Word, count_words
+from .core import WORD_CAP, BudgetExceededError, Word, count_words, word_from_index
 
 __all__ = [
     "BOTTOM",
@@ -523,7 +522,7 @@ def padic_jsr_exact(
 
 
 def padic_eval_word(s: PAdicMatrixSet, word: Sequence[int]):
-    """Exact product for a word (rightmost letter applied first), as row tuples."""
+    """Exact product for a word (``word[0]`` acts first), as row tuples."""
     d = s.dim
     out = tuple(
         Fraction(1) if r == c else Fraction(0) for r in range(d) for c in range(d)
@@ -535,6 +534,20 @@ def padic_eval_word(s: PAdicMatrixSet, word: Sequence[int]):
     return tuple(tuple(out[r * d + c] for c in range(d)) for r in range(d))
 
 
+def _product_levels(s: PAdicMatrixSet, depth: int):
+    """Yield the list of all length-k exact products, k = 1..depth, as flat
+    tuples; row order and word convention are those of
+    ``core.product_levels``, so row i is ``word_from_index(i, k, s.size)``.
+    """
+    d = s.dim
+    members = [_flat(mem) for mem in s.members]
+    level = members
+    for k in range(1, depth + 1):
+        if k > 1:
+            level = [_matmul_flat(a, prod, d) for prod in level for a in members]
+        yield level
+
+
 def padic_product_set(
     s: PAdicMatrixSet, k: int, *, word_cap: int = WORD_CAP
 ) -> PAdicMatrixSet:
@@ -544,10 +557,12 @@ def padic_product_set(
     if s.size**k > word_cap:
         raise BudgetExceededError(s.size**k, word_cap, f"product set at power {k}")
     d = s.dim
-    mats = []
-    for word in itertools.product(range(s.size), repeat=k):
-        mats.append(padic_eval_word(s, word))
-    return PAdicMatrixSet(d, s.prime, tuple(mats))
+    for level in _product_levels(s, k):
+        pass
+    mats = tuple(
+        tuple(prod[r * d : (r + 1) * d] for r in range(d)) for prod in level
+    )
+    return PAdicMatrixSet(d, s.prime, mats)
 
 
 class UltraBocaReport(NamedTuple):
@@ -557,6 +572,7 @@ class UltraBocaReport(NamedTuple):
     extremal_word: Word
     rho: PAdicMagnitude
     set_norm: PAdicMagnitude
+    rho_witness: Word  # the padic_jsr_exact witness attaining rho
 
 
 def check_ultra_boca(
@@ -565,27 +581,26 @@ def check_ultra_boca(
     """Exact check of ||S^d||_0 <= rho(S) ||S||_0^(d-1).
 
     Both sides are computed as exact magnitudes; ``extremal_word`` attains
-    the left side.  A violated report would contradict a proven bound, so
-    the suite treats it as a failure.
+    the left side and ``rho_witness`` the radius.  A violated report would
+    contradict a proven bound, so the suite treats it as a failure.
     """
     d, m, p = s.dim, s.size, s.prime
-    if m**d > word_cap:
-        raise BudgetExceededError(m**d, word_cap, f"power norm at exponent {d}")
-    members = [_flat(mem) for mem in s.members]
+    # its budget covers S^d too: count_words(m, ell_bound(d)) >= m**d
+    rho, rho_witness = padic_jsr_exact(s, word_cap=word_cap)
+    for level in _product_levels(s, d):
+        pass
     vbest = None
-    wbest: Word = tuple([0] * d)
-    for word in itertools.product(range(m), repeat=d):
-        prod = members[word[0]]
-        for i in word[1:]:
-            prod = _matmul_flat(members[i], prod, d)
+    ibest = 0
+    for i, prod in enumerate(level):
         v = _min_valuation_flat(prod, p)
         if v is not None and (vbest is None or v < vbest):
-            vbest, wbest = v, word
+            vbest, ibest = v, i
     lhs = BOTTOM if vbest is None else PAdicMagnitude(Fraction(vbest))
-    rho = padic_jsr_exact(s, word_cap=word_cap).rho
     norm = ultrametric_set_norm(s)
     rhs = rho * norm ** (d - 1)
-    return UltraBocaReport(not rhs < lhs, lhs, rhs, wbest, rho, norm)
+    return UltraBocaReport(
+        not rhs < lhs, lhs, rhs, word_from_index(ibest, d, m), rho, norm, rho_witness
+    )
 
 
 # --- exact nilpotency ----------------------------------------------------------

@@ -253,6 +253,17 @@ def test_barabanov_contractions_under_identity():
     assert pn.evaluate([1.0, 0.0]) == pytest.approx(1.0)
 
 
+def test_barabanov_words_match_matrices():
+    rng = np.random.default_rng(4)
+    s = MatrixSet.from_arrays([rng.integers(-2, 3, (2, 2)) for _ in range(3)])
+    rho_hat = 2.0  # a power of two scales exactly
+    pn = barabanov_approx(s, rho_hat, 3)
+    assert len(pn.words) == pn.matrices.shape[0] == 1 + 3 + 9 + 27
+    assert pn.words[0] == ()
+    for word, mat in zip(pn.words, pn.matrices):
+        assert np.array_equal(mat, eval_word(s, word) * rho_hat ** -len(word))
+
+
 def test_barabanov_unipotent_slack_shrinks():
     s = unipotent_pair()
     shallow = barabanov_approx(s, PHI, 2)

@@ -324,6 +324,28 @@ def test_padic_prime_override(tmp_path, capsys):
     assert reports(out3)[0]["results"]["rho_exponent"] == {"numerator": 0, "denominator": 1}
 
 
+def test_padic_computes_the_radius_once(tmp_path, capsys, monkeypatch):
+    from jsrkit import cli, ultrametric
+
+    calls = []
+    exact = ultrametric.padic_jsr_exact
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    # count calls made through either module's name for the function
+    monkeypatch.setattr(ultrametric, "padic_jsr_exact", counted)
+    monkeypatch.setattr(cli, "padic_jsr_exact", counted, raising=False)
+    path = tmp_path / "p.json"
+    path.write_text(padic_doc([[["2", "1"], ["0", "2"]], [["1", "0"], ["1", "1"]]], 2))
+    code, out, _ = run(capsys, "padic", str(path), "--quiet")
+    assert code == 0
+    assert len(calls) == 1
+    res = reports(out)[0]["results"]
+    assert res["rho_exponent"] == {"numerator": 0, "denominator": 1}
+
+
 def test_padic_budget_exit(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(padic_doc([[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]], 2))

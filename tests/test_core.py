@@ -7,13 +7,14 @@ from jsrkit.core import (
     MatrixSet,
     NormSpec,
     count_words,
-    enumerate_products,
     eval_word,
     operator_norm,
+    product_levels,
     product_set,
     set_norm,
     spectral_radius,
     vector_norm,
+    word_from_index,
 )
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -103,13 +104,22 @@ def test_set_norm():
     assert set_norm(t, NormSpec.spectral()) == pytest.approx(1.0)
 
 
+def enumerate_levels(s, depth):
+    """(word, product) pairs of every level, in the engine's row order."""
+    return [
+        (word_from_index(i, k, s.size), level[i])
+        for k, level in enumerate(product_levels(s, depth), start=1)
+        for i in range(level.shape[0])
+    ]
+
+
 def test_enumeration_exhaustive():
     s = MatrixSet.from_arrays([elem(0, 1, 2), elem(1, 0, 2)])
-    out = list(enumerate_products(s, 2))
+    out = enumerate_levels(s, 2)
     assert len(out) == 6 == count_words(2, 2)
     words = [w for w, _ in out]
-    assert words == [(0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
-    got = dict(zip(words, (p for _, p in out)))
+    assert words == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    got = dict(out)
     assert np.array_equal(got[(0, 1)], elem(1, 1, 2))
     assert np.array_equal(got[(1, 0)], elem(0, 0, 2))
     assert np.array_equal(got[(0, 0)], np.zeros((2, 2)))
@@ -117,39 +127,37 @@ def test_enumeration_exhaustive():
 
 def test_enumeration_singleton_and_zero():
     s = MatrixSet.from_arrays([np.eye(2)])
-    words = [w for w, _ in enumerate_products(s, 3)]
+    words = [w for w, _ in enumerate_levels(s, 3)]
     assert words == [(0,), (0, 0), (0, 0, 0)]
 
+    # zero products are streamed like any other
     z = MatrixSet.from_arrays([np.zeros((2, 2))])
-    assert list(enumerate_products(z, 2, prune=0.5)) == []
-    # threshold zero still streams the zero products
-    assert len(list(enumerate_products(z, 2))) == 2
+    out = enumerate_levels(z, 2)
+    assert len(out) == 2
+    assert all(not p.any() for _, p in out)
 
 
-def test_enumeration_pruning_subset():
-    rng = np.random.default_rng(7)
-    s = MatrixSet.from_arrays([rng.standard_normal((2, 2)) for _ in range(2)])
-    full = {w for w, _ in enumerate_products(s, 5)}
-    pruned = {w for w, _ in enumerate_products(s, 5, prune=0.7)}
-    assert pruned <= full
-    # every emitted word has all prefixes above the threshold
-    for w in pruned:
-        for k in range(1, len(w) + 1):
-            assert operator_norm(eval_word(s, w[:k])) > 0.7
+def test_product_levels_match_eval_word():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3):
+        # small integer entries keep every product exact in any summation order
+        s = MatrixSet.from_arrays(
+            [rng.integers(-3, 4, (3, 3)) for _ in range(m)], check_duplicates=False
+        )
+        levels = list(product_levels(s, 4))
+        assert [lv.shape for lv in levels] == [(m**k, 3, 3) for k in range(1, 5)]
+        for k, level in enumerate(levels, start=1):
+            for i in range(m**k):
+                word = word_from_index(i, k, m)
+                assert len(word) == k
+                assert np.array_equal(level[i], eval_word(s, word))
 
 
 def test_enumeration_budget():
     s = MatrixSet.from_arrays([np.eye(2), 2 * np.eye(2)])
     with pytest.raises(BudgetExceededError) as err:
-        list(enumerate_products(s, 40))
+        product_set(s, 40)
     assert "cap" in str(err.value)
-
-
-def test_enumeration_partitioning():
-    s = MatrixSet.from_arrays([elem(0, 1, 2), elem(1, 0, 2)])
-    whole = [w for w, _ in enumerate_products(s, 3)]
-    parts = [w for r in (0, 1) for w, _ in enumerate_products(s, 3, first_letters=[r])]
-    assert whole == parts
 
 
 def test_product_set():

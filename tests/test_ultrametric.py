@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from jsrkit.core import BudgetExceededError
+from jsrkit.core import BudgetExceededError, word_from_index
 from jsrkit.ultrametric import (
     BOTTOM,
     NewtonPolygon,
@@ -348,6 +348,17 @@ def test_product_set_sizes_and_cap():
         padic_product_set(s, 30)
 
 
+def test_product_set_rows_follow_the_word_index():
+    rng = random.Random(19)
+    for m in (1, 2, 3):
+        s = rand_int_set(rng, 2, 3, m=m)
+        for k in (1, 2, 3):
+            members = padic_product_set(s, k).members
+            assert len(members) == m**k
+            for i, prod in enumerate(members):
+                assert prod == padic_eval_word(s, word_from_index(i, k, m))
+
+
 # --- the exact joint spectral radius --------------------------------------------
 
 
@@ -469,6 +480,19 @@ def test_ultra_boca_extremal_word_attains_lhs():
         finite = [v for v in vals if v is not None]
         got = BOTTOM if not finite else PAdicMagnitude(min(finite))
         assert got == rep.lhs
+
+
+def test_ultra_boca_rho_witness_attains_rho():
+    rng = random.Random(47)
+    for _ in range(20):
+        s = rand_int_set(rng, rng.choice([2, 3]), rng.choice([2, 3, 5]))
+        rep = check_ultra_boca(s)
+        assert (rep.rho, rep.rho_witness) == padic_jsr_exact(s)
+        if rep.rho.is_bottom:
+            continue
+        prod = padic_eval_word(s, rep.rho_witness)
+        lam = max_root_magnitude(char_poly_exact(prod), s.prime)
+        assert lam.root(len(rep.rho_witness)) == rep.rho
 
 
 def test_ultra_boca_submultiplicative_powers():
