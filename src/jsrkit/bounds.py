@@ -37,6 +37,7 @@ from jsrkit.core import (
     ComplexMatrix,
     JsrError,
     MatrixSet,
+    NormKind,
     NormSpec,
     Word,
     batch_operator_norms,
@@ -151,7 +152,6 @@ class JsrConfig:
     depth: int = 8
     norm: NormSpec = SPECTRAL
     word_cap: int = WORD_CAP
-    tol_rel: float = TOL_REL
     target_width: float | None = None
 
 
@@ -191,7 +191,7 @@ def _sweep(
         row_sums = np.abs(level).sum(axis=2).max(axis=1)
 
         if want_upper:
-            norms = row_sums if n.kind.value == "max_row_sum" else batch_operator_norms(level, n)
+            norms = row_sums if n.kind is NormKind.MAX_ROW_SUM else batch_operator_norms(level, n)
             lev_up = float(norms.max()) ** (1.0 / k)
             if lev_up < best_up:
                 best_up = lev_up

@@ -3,8 +3,11 @@
 Everything here is a decision procedure: eigenvalue magnitudes come from
 Newton polygons of exact characteristic polynomials, the joint spectral
 radius equals the peak of Lambda(S^k)^(1/k) over k up to an explicit
-length bound ell(d), and all arithmetic is arbitrary-precision rational
-(stdlib Fraction).  No floating point, no tolerances.
+length bound ell(d).  Each set is scaled to integers once, by the lcm D of
+its denominators, and every kernel runs on arbitrary-precision ints; a
+length-k product of the scaled set has every exponent k v_p(D) above the
+original, so results shift back by v_p(D) per letter.  No floating point,
+no tolerances.
 
 Magnitudes are carried in exponent form: PAdicMagnitude(e) denotes the
 value p^(-e) with e rational (roots in the algebraic closure can have
@@ -15,6 +18,7 @@ every finite magnitude.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -235,9 +239,8 @@ def max_root_magnitude(coeffs: Sequence, p: int) -> PAdicMagnitude:
 # --- exact characteristic polynomials ------------------------------------------
 
 
-def _char_coeffs_flat(flat: Sequence, d: int) -> tuple:
-    # ascending coefficients of det(tI - A); entries may be ints or
-    # Fractions, and the direct d <= 3 formulas keep ints exact.
+def _char_coeffs_flat(flat: Sequence[int], d: int) -> tuple:
+    # ascending coefficients of det(tI - A) for an integer matrix
     if d == 1:
         return (-flat[0], 1)
     if d == 2:
@@ -248,12 +251,12 @@ def _char_coeffs_flat(flat: Sequence, d: int) -> tuple:
         det = a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
         e2 = (a * f - b * e) + (a * j - c * h) + (f * j - g * i)
         return (-det, e2, -(a + f + j), 1)
-    # Faddeev-LeVerrier; the divisions are exact over the rationals.
-    rows = [[Fraction(flat[r * d + c]) for c in range(d)] for r in range(d)]
-    m = [[Fraction(0)] * d for _ in range(d)]
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    c_prev = Fraction(1)
+    # Faddeev-LeVerrier; over the integers the division by k is exact
+    rows = [flat[r * d : (r + 1) * d] for r in range(d)]
+    m = [[0] * d for _ in range(d)]
+    coeffs = [0] * (d + 1)
+    coeffs[d] = 1
+    c_prev = 1
     for k in range(1, d + 1):
         for r in range(d):
             m[r][r] += c_prev
@@ -261,7 +264,7 @@ def _char_coeffs_flat(flat: Sequence, d: int) -> tuple:
             [sum(rows[r][t] * m[t][c] for t in range(d)) for c in range(d)]
             for r in range(d)
         ]
-        c_prev = -sum(m[r][r] for r in range(d)) / k
+        c_prev = -sum(m[r][r] for r in range(d)) // k
         coeffs[d - k] = c_prev
     return tuple(coeffs)
 
@@ -277,7 +280,10 @@ def char_poly_exact(matrix) -> tuple:
     if any(len(r) != d for r in rows) or d == 0:
         raise ValueError("matrix must be square and nonempty")
     flat = tuple(x for row in rows for x in row)
-    return _char_coeffs_flat(flat, d)
+    # det(tI - DA) has coefficients D^(d-i) c_i, where c_i are A's
+    den = _lcm_denominator(flat)
+    coeffs = _char_coeffs_flat(_times(flat, den), d)
+    return tuple(Fraction(c, den ** (d - i)) for i, c in enumerate(coeffs))
 
 
 # --- matrix sets over Q -------------------------------------------------------
@@ -315,9 +321,26 @@ class PAdicMatrixSet:
     def size(self) -> int:
         return len(self.members)
 
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, tuple]:
+        """(v_p(D), the members times D as flat int tuples), D the lcm of
+        all denominators; the kernels run on these and shift back."""
+        flats = [_flat(mem) for mem in self.members]
+        den = _lcm_denominator(x for f in flats for x in f)
+        return _int_valuation(den, self.prime), tuple(_times(f, den) for f in flats)
+
 
 def _flat(member) -> tuple:
     return tuple(x for row in member for x in row)
+
+
+def _lcm_denominator(entries) -> int:
+    return math.lcm(*(x.denominator for x in entries))
+
+
+def _times(flat, den: int) -> tuple:
+    # den * flat as ints; den is a multiple of every denominator
+    return tuple(x.numerator * (den // x.denominator) for x in flat)
 
 
 def _matmul_flat(a, b, d):
@@ -352,36 +375,16 @@ def _matmul_flat(a, b, d):
 
 
 def _min_valuation_flat(flat, p: int):
-    # exponent of the entrywise max magnitude; None when the matrix is zero
-    vmin = None
-    for x in flat:
-        if x == 0:
-            continue
-        if isinstance(x, int):
-            v = _int_valuation(abs(x), p)
-        else:
-            v = _int_valuation(abs(x.numerator), p) - _int_valuation(
-                x.denominator, p
-            )
-        if vmin is None or v < vmin:
-            vmin = v
-    return vmin
-
-
-def _min_valuation_flat_int(flat, p: int):
-    # integer entries cannot dip below valuation 0, so bail at the first
-    # entry coprime to p
+    # exponent of the entrywise max magnitude of an integer matrix; None when
+    # it is zero.  Integers cannot dip below valuation 0, so bail at the
+    # first entry coprime to p
     vmin = None
     for x in flat:
         if x == 0:
             continue
         if x % p:
             return 0
-        v = 1
-        x //= p
-        while x % p == 0:
-            x //= p
-            v += 1
+        v = _int_valuation(x, p)
         if vmin is None or v < vmin:
             vmin = v
     return vmin
@@ -390,12 +393,9 @@ def _min_valuation_flat_int(flat, p: int):
 def ultrametric_set_norm(s: PAdicMatrixSet) -> PAdicMagnitude:
     """||S||_0 = max entry magnitude over all members (exact operator norm
     for the coordinatewise ultrametric vector norm)."""
-    vmin = None
-    for m in s.members:
-        v = _min_valuation_flat(_flat(m), s.prime)
-        if v is not None and (vmin is None or v < vmin):
-            vmin = v
-    return BOTTOM if vmin is None else PAdicMagnitude(Fraction(vmin))
+    shift, members = s._scaled
+    vmin = _min_valuation_flat((x for f in members for x in f), s.prime)
+    return BOTTOM if vmin is None else PAdicMagnitude(vmin - shift)
 
 
 def ell_bound(d: int) -> int:
@@ -426,19 +426,10 @@ def _lambda_exponent(flat, d: int, p: int):
     coeffs = _char_coeffs_flat(flat, d)
     best = None
     for i in range(d):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if isinstance(c, int):
-            v = Fraction(_int_valuation(abs(c), p), d - i)
-        else:
-            v = Fraction(
-                _int_valuation(abs(c.numerator), p)
-                - _int_valuation(c.denominator, p),
-                d - i,
-            )
-        if best is None or v < best:
-            best = v
+        if coeffs[i] != 0:
+            v = Fraction(_int_valuation(coeffs[i], p), d - i)
+            if best is None or v < best:
+                best = v
     return best
 
 
@@ -460,7 +451,10 @@ def padic_jsr_exact(
     Words whose entrywise norm already caps their eigenvalue magnitude
     below the running best are not analyzed further (the norm bound
     Lambda <= ||.||_0 makes this lossless for the value); zero products
-    prune their whole subtree.
+    prune their whole subtree.  The sweep runs on the integer scaling of
+    the set, where no eigenvalue has a negative exponent, so for every
+    input it stops as soon as the running best reaches exponent 0 there
+    (-v_p(D) before the shift back).
     """
     d, m, p = s.dim, s.size, s.prime
     if ell is None:
@@ -471,21 +465,7 @@ def padic_jsr_exact(
     if needed > word_cap:
         raise BudgetExceededError(needed, word_cap, f"exact sweep to depth {ell}")
 
-    int_path = all(
-        x.denominator == 1 for mem in s.members for x in _flat(mem)
-    )
-    if int_path:
-        members = [tuple(int(x) for x in _flat(mem)) for mem in s.members]
-        minval = _min_valuation_flat_int
-    else:
-        members = [_flat(mem) for mem in s.members]
-        minval = _min_valuation_flat
-    # with p-integral entries every eigenvalue exponent is >= 0, so a peak
-    # of exactly 0 can never be beaten and the sweep may stop early
-    floor_zero = all(
-        (v := _min_valuation_flat(_flat(mem), p)) is None or v >= 0
-        for mem in s.members
-    )
+    shift, members = s._scaled
 
     best_val: Fraction | None = None  # exponent of the running best rho
     best_wit: Word | None = None
@@ -493,7 +473,7 @@ def padic_jsr_exact(
     def visit(prod, word: Word):
         nonlocal best_val, best_wit
         k = len(word)
-        vmin = minval(prod, p)
+        vmin = _min_valuation_flat(prod, p)
         if vmin is None:
             return  # zero product; every extension is zero too
         # Lambda <= ||.||_0, so vmin/k >= best_val means this word cannot
@@ -504,7 +484,7 @@ def padic_jsr_exact(
                 val = lam / k
                 if best_val is None or val < best_val:
                     best_val, best_wit = val, word
-                    if floor_zero and best_val == 0:
+                    if best_val == 0:  # integer matrices go no lower
                         raise _PeakAtFloor
         if k < ell:
             for letter in range(m):
@@ -518,7 +498,7 @@ def padic_jsr_exact(
 
     if best_wit is None:
         return PAdicJsrResult(BOTTOM, (0,))
-    return PAdicJsrResult(PAdicMagnitude(best_val), best_wit)
+    return PAdicJsrResult(PAdicMagnitude(best_val - shift), best_wit)
 
 
 def padic_eval_word(s: PAdicMatrixSet, word: Sequence[int]):
@@ -534,13 +514,12 @@ def padic_eval_word(s: PAdicMatrixSet, word: Sequence[int]):
     return tuple(tuple(out[r * d + c] for c in range(d)) for r in range(d))
 
 
-def _product_levels(s: PAdicMatrixSet, depth: int):
-    """Yield the list of all length-k exact products, k = 1..depth, as flat
-    tuples; row order and word convention are those of
-    ``core.product_levels``, so row i is ``word_from_index(i, k, s.size)``.
+def _product_levels(members: Sequence[tuple], d: int, depth: int):
+    """Yield the list of all length-k exact products of the flat ``members``,
+    k = 1..depth, as flat tuples; row order and word convention are those of
+    ``core.product_levels``, so row i is
+    ``word_from_index(i, k, len(members))``.
     """
-    d = s.dim
-    members = [_flat(mem) for mem in s.members]
     level = members
     for k in range(1, depth + 1):
         if k > 1:
@@ -557,7 +536,7 @@ def padic_product_set(
     if s.size**k > word_cap:
         raise BudgetExceededError(s.size**k, word_cap, f"product set at power {k}")
     d = s.dim
-    for level in _product_levels(s, k):
+    for level in _product_levels([_flat(mem) for mem in s.members], d, k):
         pass
     mats = tuple(
         tuple(prod[r * d : (r + 1) * d] for r in range(d)) for prod in level
@@ -587,7 +566,8 @@ def check_ultra_boca(
     d, m, p = s.dim, s.size, s.prime
     # its budget covers S^d too: count_words(m, ell_bound(d)) >= m**d
     rho, rho_witness = padic_jsr_exact(s, word_cap=word_cap)
-    for level in _product_levels(s, d):
+    shift, members = s._scaled
+    for level in _product_levels(members, d, d):
         pass
     vbest = None
     ibest = 0
@@ -595,7 +575,7 @@ def check_ultra_boca(
         v = _min_valuation_flat(prod, p)
         if v is not None and (vbest is None or v < vbest):
             vbest, ibest = v, i
-    lhs = BOTTOM if vbest is None else PAdicMagnitude(Fraction(vbest))
+    lhs = BOTTOM if vbest is None else PAdicMagnitude(vbest - d * shift)
     norm = ultrametric_set_norm(s)
     rhs = rho * norm ** (d - 1)
     return UltraBocaReport(
@@ -606,21 +586,23 @@ def check_ultra_boca(
 # --- exact nilpotency ----------------------------------------------------------
 
 
-def _reduce_against(vec: list, basis: list[tuple[int, list]]) -> list:
-    # eliminate the pivot coordinates of an exact basis from vec, in place
+def _reduce_against(vec: Sequence[int], basis: list[tuple[int, list]]) -> Sequence[int]:
+    # fraction-free elimination of the basis pivots from vec: each step
+    # replaces vec by a vec - b row, a nonzero multiple of the rational step
     for piv, row in basis:
         if vec[piv] != 0:
-            f = vec[piv] / row[piv]
-            for i in range(piv, len(vec)):
-                vec[i] -= f * row[i]
+            g = math.gcd(row[piv], vec[piv])
+            a, b = row[piv] // g, vec[piv] // g
+            vec = [a * x - b * y for x, y in zip(vec, row)]
     return vec
 
 
-def _try_extend(vec: Sequence, basis: list[tuple[int, list]]) -> bool:
-    v = _reduce_against([Fraction(x) for x in vec], basis)
+def _try_extend(vec: Sequence[int], basis: list[tuple[int, list]]) -> bool:
+    v = _reduce_against(vec, basis)
     for i, x in enumerate(v):
         if x != 0:
-            basis.append((i, v))
+            g = math.gcd(*v)
+            basis.append((i, [y // g for y in v]))
             basis.sort(key=lambda t: t[0])
             return True
     return False
@@ -629,12 +611,14 @@ def _try_extend(vec: Sequence, basis: list[tuple[int, list]]) -> bool:
 def padic_nilpotency_exact(s: PAdicMatrixSet) -> bool:
     """Whether the algebra generated by the members is nilpotent, exactly.
 
-    Saturates the span of the members under left multiplication with exact
-    rational elimination, then multiplies the algebra onto itself d - 1
-    times; nilpotency is equivalent to the d-fold products all vanishing.
+    Saturates the span of the members under left multiplication with
+    fraction-free integer elimination, then multiplies the algebra onto
+    itself d - 1 times; nilpotency is equivalent to the d-fold products all
+    vanishing.  Scaling does not change nilpotency, so it runs on the
+    integer scaling of the set as is.
     """
     d = s.dim
-    mats = [_flat(m) for m in s.members]
+    mats = s._scaled[1]
     basis: list[tuple[int, list]] = []
     queue = [m for m in mats if _try_extend(m, basis)]
     while queue:

@@ -383,6 +383,26 @@ def test_check_bg_el_unitary_with_contraction():
     assert rep.lhs >= rep.rhs_at_lower
 
 
+def test_check_bg_el_long_trajectory_uses_hashed_pairs(monkeypatch):
+    # d = 1 honors the full length 12/eps = 6,000, past the 4,096-point
+    # switch from the all-pairs scan to the spatial hash
+    from jsrkit import certificates
+
+    calls = []
+    hashed = certificates._hashed_pairs
+
+    def spy(points, k_best):
+        calls.append(len(points))
+        return hashed(points, k_best)
+
+    monkeypatch.setattr(certificates, "_hashed_pairs", spy)
+    s = MatrixSet.from_arrays([np.array([[np.exp(1j * GOLDEN_ANGLE)]]), np.array([[0.5]])])
+    rep = check_bg_el(s, 0.002, 10, interval=jsr_estimate(s, JsrConfig(depth=4)))
+    assert rep.budget["maxlen"] == 6000
+    assert calls and max(calls) > 4096
+    assert rep.verdict is Verdict.CONFIRMED
+
+
 def test_check_bg_el_requires_unit_enclosure():
     s = MatrixSet.from_arrays([np.eye(2) / 2])
     with pytest.raises(ValueError, match="rescale"):

@@ -401,18 +401,32 @@ def test_jsr_respects_word_cap():
 
 
 def test_jsr_scaling_by_p_shifts_exponent():
+    # scaling by c moves rho and the set norm by v_p(c), both sides of the
+    # power inequality by d v_p(c), and neither the witness nor nilpotency;
+    # c = 1/(q p^j) with q prime to p makes the set rational
+    def shifted(mag, e):
+        return BOTTOM if mag.is_bottom else PAdicMagnitude(mag.exponent + e)
+
     rng = random.Random(29)
     for _ in range(10):
         p = rng.choice([2, 3])
-        s = rand_int_set(rng, 2, p)
-        scaled = PAdicMatrixSet.from_rows(
-            [[[x * p for x in row] for row in m] for m in s.members], p
-        )
-        r, rs = padic_jsr_exact(s), padic_jsr_exact(scaled)
-        if r.rho.is_bottom:
-            assert rs.rho.is_bottom
-        else:
-            assert rs.rho.exponent == r.rho.exponent + 1
+        d = rng.choice([2, 2, 3])
+        s = rand_int_set(rng, d, p)
+        r, rep = padic_jsr_exact(s), check_ultra_boca(s)
+        norm, nil = ultrametric_set_norm(s), padic_nilpotency_exact(s)
+        q = rng.choice([1, 5, 7, 35])
+        for c in (Fraction(p), Fraction(1, q), Fraction(1, q * p), Fraction(1, q * p**2)):
+            scaled = PAdicMatrixSet.from_rows(
+                [[[x * c for x in row] for row in m] for m in s.members], p
+            )
+            j = padic_valuation(c, p)
+            rs, reps = padic_jsr_exact(scaled), check_ultra_boca(scaled)
+            assert rs.rho == shifted(r.rho, j)
+            assert rs.witness == r.witness
+            assert reps.lhs == shifted(rep.lhs, d * j)
+            assert reps.rhs == shifted(rep.rhs, d * j)
+            assert ultrametric_set_norm(scaled) == shifted(norm, j)
+            assert padic_nilpotency_exact(scaled) == nil
 
 
 def test_jsr_stable_past_the_length_bound():
