@@ -144,6 +144,23 @@ def _coordinate_bound(n: NormSpec) -> float:
     raise ValueError(f"unknown norm kind {n.kind!r}")
 
 
+def _grid_neighbours(points: np.ndarray, cell: float):
+    # For each row j of the complex (n, d) points, yield j with the earlier
+    # rows whose real and imaginary coordinates, floored to the grid of side
+    # cell, lie in the same or an adjacent cell (3^(2d) cells per point)
+    coords = np.concatenate([points.real, points.imag], axis=1)
+    keys = np.floor(coords / cell).astype(np.int64)
+    offsets = list(itertools.product((-1, 0, 1), repeat=coords.shape[1]))
+    buckets: dict[tuple, list[int]] = {}
+    for j in range(len(points)):
+        key = tuple(keys[j])
+        near: list[int] = []
+        for off in offsets:
+            near.extend(buckets.get(tuple(k + o for k, o in zip(key, off)), ()))
+        yield j, near
+        buckets.setdefault(key, []).append(j)
+
+
 def siegel_combination(
     xs: Sequence,
     t: int,
@@ -202,21 +219,11 @@ def siegel_combination(
         return out
 
     cell = eps * _coordinate_bound(n)
-    coords = np.concatenate([sums.real, sums.imag], axis=1)
-    keys = np.floor(coords / cell).astype(np.int64)
-    offsets = list(itertools.product((-1, 0, 1), repeat=2 * d))
-    buckets: dict[tuple, list[int]] = {}
-    for idx in range(total):
-        key = tuple(keys[idx])
-        for off in offsets:
-            nbr = buckets.get(tuple(k + o for k, o in zip(key, off)))
-            if not nbr:
-                continue
-            for j in nbr:
-                if vector_norm(sums[idx] - sums[j], n) <= eps:
-                    c = digits(idx) - digits(j)
-                    return tuple(int(v) for v in c)
-        buckets.setdefault(key, []).append(idx)
+    for idx, near in _grid_neighbours(sums, cell):
+        for j in near:
+            if vector_norm(sums[idx] - sums[j], n) <= eps:
+                c = digits(idx) - digits(j)
+                return tuple(int(v) for v in c)
 
     raise CombinationNotFoundError(
         f"no combination with |c_i| <= {t} reaches norm <= {eps}"
@@ -332,23 +339,13 @@ def _hashed_pairs(
     # Spatial hash over the raw positions for long trajectories.  Positional
     # buckets miss returns that are only phase aligned; candidates that do
     # collide are still scored phase invariantly.
-    d = points.shape[1]
-    coords = np.concatenate([points.real, points.imag], axis=1)
-    keys = np.floor(coords / cell).astype(np.int64)
-    offsets = list(itertools.product((-1, 0, 1), repeat=2 * d))
-    buckets: dict[tuple, list[int]] = {}
     out: list[tuple[float, int, int]] = []
-    for j in range(len(points)):
-        key = tuple(keys[j])
-        cand: list[int] = []
-        for off in offsets:
-            cand.extend(buckets.get(tuple(k + o for k, o in zip(key, off)), ()))
+    for j, cand in _grid_neighbours(points, cell):
         if cand:
             ip = np.minimum(np.abs(points[cand] @ points[j].conj()), 1.0)
             scores = 1.0 - ip * ip
             b = int(np.argmin(scores))
             out.append((float(scores[b]), cand[b], j))
-        buckets.setdefault(key, []).append(j)
     return heapq.nsmallest(k_best, out)
 
 

@@ -3,11 +3,12 @@
 Everything here is a decision procedure: eigenvalue magnitudes come from
 Newton polygons of exact characteristic polynomials, the joint spectral
 radius equals the peak of Lambda(S^k)^(1/k) over k up to an explicit
-length bound ell(d).  Each set is scaled to integers once, by the lcm D of
-its denominators, and every kernel runs on arbitrary-precision ints; a
-length-k product of the scaled set has every exponent k v_p(D) above the
-original, so results shift back by v_p(D) per letter.  No floating point,
-no tolerances.
+length bound ell(d).  Each set is scaled once, by the lcm D of its
+denominators and by p^-vmin, vmin the least entry valuation of the integer
+set, and every kernel runs on arbitrary-precision ints; the scaled set has
+norm exponent 0, and a length-k product of it has every exponent
+k (v_p(D) - vmin) above the original, so results shift back by that much
+per letter.  No floating point, no tolerances.
 
 Magnitudes are carried in exponent form: PAdicMagnitude(e) denotes the
 value p^(-e) with e rational (roots in the algebraic closure can have
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import WORD_CAP, BudgetExceededError, Word, count_words, word_from_index
+from .core import WORD_CAP, BudgetExceededError, Word, check_budget, word_from_index
 
 __all__ = [
     "BOTTOM",
@@ -322,12 +323,21 @@ class PAdicMatrixSet:
         return len(self.members)
 
     @functools.cached_property
-    def _scaled(self) -> tuple[int, tuple]:
-        """(v_p(D), the members times D as flat int tuples), D the lcm of
-        all denominators; the kernels run on these and shift back."""
+    def _scaled(self) -> tuple[int | None, tuple]:
+        """(shift, the members times D / p^vmin as flat int tuples), D the
+        lcm of all denominators and vmin the least entry valuation of the
+        members times D, so the scaled set has norm exponent 0 and
+        shift = v_p(D) - vmin; the kernels run on these and shift back.
+        shift is None for the zero set."""
         flats = [_flat(mem) for mem in self.members]
         den = _lcm_denominator(x for f in flats for x in f)
-        return _int_valuation(den, self.prime), tuple(_times(f, den) for f in flats)
+        ints = [_times(f, den) for f in flats]
+        vmin = _min_valuation_flat((x for f in ints for x in f), self.prime)
+        if vmin is None:
+            return None, tuple(ints)
+        unit = self.prime**vmin
+        scaled = tuple(tuple(x // unit for x in f) for f in ints)
+        return _int_valuation(den, self.prime) - vmin, scaled
 
 
 def _flat(member) -> tuple:
@@ -393,9 +403,8 @@ def _min_valuation_flat(flat, p: int):
 def ultrametric_set_norm(s: PAdicMatrixSet) -> PAdicMagnitude:
     """||S||_0 = max entry magnitude over all members (exact operator norm
     for the coordinatewise ultrametric vector norm)."""
-    shift, members = s._scaled
-    vmin = _min_valuation_flat((x for f in members for x in f), s.prime)
-    return BOTTOM if vmin is None else PAdicMagnitude(vmin - shift)
+    shift = s._scaled[0]
+    return BOTTOM if shift is None else PAdicMagnitude(-shift)
 
 
 def ell_bound(d: int) -> int:
@@ -414,10 +423,6 @@ def ell_bound(d: int) -> int:
 class PAdicJsrResult(NamedTuple):
     rho: PAdicMagnitude
     witness: Word
-
-
-class _PeakAtFloor(Exception):
-    """Internal: the sweep proved no remaining word can improve the peak."""
 
 
 def _lambda_exponent(flat, d: int, p: int):
@@ -441,64 +446,54 @@ def padic_jsr_exact(
 ) -> PAdicJsrResult:
     """The exact joint spectral radius max_{k <= ell} Lambda(S^k)^(1/k).
 
-    Enumerates every word of length up to ``ell`` (default ``ell_bound(d)``,
+    Sweeps every word of length up to ``ell`` (default ``ell_bound(d)``,
     which provably suffices; pass a smaller or larger value to trade
-    completeness for time, e.g. in stability experiments).  Each word's
-    eigenvalue magnitude comes from the Newton polygon of its exact
-    characteristic polynomial; the return value is EXACT, with a witness
-    word attaining it.
+    completeness for time, e.g. in stability experiments) breadth-first,
+    one level of ``_product_levels`` at a time.  Each word's eigenvalue
+    magnitude comes from the Newton polygon of its exact characteristic
+    polynomial; the return value is EXACT, with a witness word attaining
+    it.  Ties go to the shortest word and then to the lexicographically
+    first one.
 
     Words whose entrywise norm already caps their eigenvalue magnitude
     below the running best are not analyzed further (the norm bound
-    Lambda <= ||.||_0 makes this lossless for the value); zero products
-    prune their whole subtree.  The sweep runs on the integer scaling of
-    the set, where no eigenvalue has a negative exponent, so for every
-    input it stops as soon as the running best reaches exponent 0 there
-    (-v_p(D) before the shift back).
+    Lambda <= ||.||_0 makes this lossless for the value).  Since
+    Lambda(A) <= ||A||_0 <= ||S||_0^k for every length-k product A, the
+    sweep stops after the level where the running best reaches the set
+    norm, or where every product is zero.
     """
     d, m, p = s.dim, s.size, s.prime
     if ell is None:
         ell = ell_bound(d)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    needed = count_words(m, ell)
-    if needed > word_cap:
-        raise BudgetExceededError(needed, word_cap, f"exact sweep to depth {ell}")
+    check_budget(m, ell, word_cap, f"exact sweep to depth {ell}")
 
+    # the scaled set has norm exponent 0, so best_val == 0 is the set norm
     shift, members = s._scaled
-
     best_val: Fraction | None = None  # exponent of the running best rho
-    best_wit: Word | None = None
+    best_k = best_i = 0
+    for k, level in enumerate(_product_levels(members, d, ell), 1):
+        live = False
+        for i, prod in enumerate(level):
+            vmin = _min_valuation_flat(prod, p)
+            if vmin is None:
+                continue
+            live = True
+            # Lambda <= ||.||_0, so vmin/k >= best_val means this word cannot
+            # improve the peak; compare cross-multiplied to stay allocation-free
+            if best_val is None or vmin * best_val.denominator < best_val.numerator * k:
+                lam = _lambda_exponent(prod, d, p)
+                if lam is not None and (best_val is None or lam / k < best_val):
+                    best_val, best_k, best_i = lam / k, k, i
+        if best_val == 0 or not live:
+            break
 
-    def visit(prod, word: Word):
-        nonlocal best_val, best_wit
-        k = len(word)
-        vmin = _min_valuation_flat(prod, p)
-        if vmin is None:
-            return  # zero product; every extension is zero too
-        # Lambda <= ||.||_0, so vmin/k >= best_val means this word cannot
-        # improve the peak; compare cross-multiplied to stay allocation-free
-        if best_val is None or vmin * best_val.denominator < best_val.numerator * k:
-            lam = _lambda_exponent(prod, d, p)
-            if lam is not None:
-                val = lam / k
-                if best_val is None or val < best_val:
-                    best_val, best_wit = val, word
-                    if best_val == 0:  # integer matrices go no lower
-                        raise _PeakAtFloor
-        if k < ell:
-            for letter in range(m):
-                visit(_matmul_flat(members[letter], prod, d), word + (letter,))
-
-    try:
-        for letter in range(m):
-            visit(members[letter], (letter,))
-    except _PeakAtFloor:
-        pass
-
-    if best_wit is None:
+    if best_val is None:
         return PAdicJsrResult(BOTTOM, (0,))
-    return PAdicJsrResult(PAdicMagnitude(best_val - shift), best_wit)
+    return PAdicJsrResult(
+        PAdicMagnitude(best_val - shift), word_from_index(best_i, best_k, m)
+    )
 
 
 def padic_eval_word(s: PAdicMatrixSet, word: Sequence[int]):
@@ -518,7 +513,9 @@ def _product_levels(members: Sequence[tuple], d: int, depth: int):
     """Yield the list of all length-k exact products of the flat ``members``,
     k = 1..depth, as flat tuples; row order and word convention are those of
     ``core.product_levels``, so row i is
-    ``word_from_index(i, k, len(members))``.
+    ``word_from_index(i, k, len(members))``.  Each level is built only when
+    it is asked for.  ``padic_jsr_exact``, ``padic_product_set`` and
+    ``check_ultra_boca`` use it.
     """
     level = members
     for k in range(1, depth + 1):

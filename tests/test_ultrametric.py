@@ -10,8 +10,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from jsrkit import ultrametric
 from jsrkit.core import BudgetExceededError, word_from_index
 from jsrkit.ultrametric import (
     BOTTOM,
@@ -380,8 +382,12 @@ def test_jsr_swap_pair_peaks_at_length_two():
 
 
 def test_jsr_nilpotent_set_is_bottom():
-    r = padic_jsr_exact(intset([[[0, 1], [0, 0]]], 7))
-    assert r.rho.is_bottom
+    zero = intset([[[0, 0], [0, 0]]] * 2, 7)
+    assert ultrametric_set_norm(zero).is_bottom
+    assert check_ultra_boca(zero).holds
+    for s in (intset([[[0, 1], [0, 0]]], 7), zero):
+        assert padic_jsr_exact(s).rho.is_bottom
+        assert padic_nilpotency_exact(s)
 
 
 def test_jsr_witness_attains_value():
@@ -392,6 +398,68 @@ def test_jsr_witness_attains_value():
         prod = padic_eval_word(s, r.witness)
         lam = max_root_magnitude(char_poly_exact(prod), s.prime)
         assert lam.root(len(r.witness)) == r.rho
+
+
+def _acceptance_set(index):
+    # set ``index`` of the exact suite in test_acceptance (seed 701)
+    rng = np.random.default_rng(701)
+    for i in range(index + 1):
+        d = 2 if i % 2 == 0 else 3
+        rows = [
+            [[int(rng.integers(-9, 10)) for _ in range(d)] for _ in range(d)]
+            for _ in range(2)
+        ]
+    return intset(rows, (2, 3, 5)[index % 3])
+
+
+def test_jsr_witness_is_shortest_then_lexicographically_first():
+    # brute force over every word up to ell(d): the witness is the min by
+    # (length, word) among the words attaining rho.  p R + N with N strictly
+    # upper (member 0) or lower (member 1) often peaks first at length 2
+    def brute_force(s):
+        best, attained = BOTTOM, []
+        for k in range(1, ell_bound(s.dim) + 1):
+            for i, prod in enumerate(padic_product_set(s, k).members):
+                lam = max_root_magnitude(char_poly_exact(prod), s.prime).root(k)
+                if best < lam:
+                    best, attained = lam, []
+                if lam == best and not lam.is_bottom:
+                    attained.append(word_from_index(i, k, s.size))
+        return best, min(attained, key=lambda w: (len(w), w), default=(0,))
+
+    rng = random.Random(61)
+    sets = [_acceptance_set(9)]
+    for _ in range(10):
+        d, p = rng.choice([2, 3]), rng.choice([2, 3, 5])
+        mats = [[[p * rng.randint(-3, 3) for _ in range(d)] for _ in range(d)] for _ in range(2)]
+        for r, c in itertools.combinations(range(d), 2):
+            mats[0][r][c] += rng.randint(-2, 2)
+            mats[1][c][r] += rng.randint(-2, 2)
+        sets.append(intset(mats, p))
+    for s in sets:
+        assert tuple(padic_jsr_exact(s)) == brute_force(s)
+
+
+def test_jsr_stops_at_the_set_norm(monkeypatch):
+    # the first member of S has a unit trace, so rho(p S) = ||p S||_0 = p^-1
+    # is reached at level 1 and no product is ever built
+    calls = []
+    matmul = ultrametric._matmul_flat
+    monkeypatch.setattr(
+        ultrametric, "_matmul_flat", lambda a, b, d: calls.append(d) or matmul(a, b, d)
+    )
+    rng = random.Random(67)
+    checked = 0
+    while checked < 6:
+        p, d = rng.choice([2, 3, 5]), rng.choice([2, 3])
+        s = rand_int_set(rng, d, p, m=3)
+        if sum(s.members[0][i][i] for i in range(d)) % p == 0:
+            continue
+        ps = intset([[[p * x for x in row] for row in m] for m in s.members], p)
+        assert padic_jsr_exact(ps) == (PAdicMagnitude(1), (0,))
+        assert ultrametric_set_norm(ps) == PAdicMagnitude(1)
+        checked += 1
+    assert calls == []
 
 
 def test_jsr_respects_word_cap():
@@ -415,7 +483,9 @@ def test_jsr_scaling_by_p_shifts_exponent():
         r, rep = padic_jsr_exact(s), check_ultra_boca(s)
         norm, nil = ultrametric_set_norm(s), padic_nilpotency_exact(s)
         q = rng.choice([1, 5, 7, 35])
-        for c in (Fraction(p), Fraction(1, q), Fraction(1, q * p), Fraction(1, q * p**2)):
+        for c in (
+            Fraction(p), Fraction(p**2), Fraction(1, q), Fraction(1, q * p), Fraction(1, q * p**2)
+        ):
             scaled = PAdicMatrixSet.from_rows(
                 [[[x * c for x in row] for row in m] for m in s.members], p
             )
