@@ -14,14 +14,16 @@ A note on pruning: discarding whole subtrees whose prefix norm falls below
 could still improve the maximum has a cyclic rotation whose prefixes all
 stay above the bound) but it can silently corrupt the norm side, because
 the word attaining ``max ||eval(w)||`` may well have a small prefix.  The
-sweep therefore keeps the enumeration exhaustive and uses the running
-lower bound only to skip eigenvalue evaluations that provably cannot
-improve it.  Results are bit-identical to the fully exhaustive computation.
+sweep therefore still visits every word.  It uses the running lower bound
+only to skip eigenvalue evaluations that provably cannot improve it, and
+each level's cheap norm brackets (``core.max_operator_norm``) to skip
+singular value decompositions that cannot change that level's maximum;
+both tests carry a guard against roundoff.  Results are bit-identical to
+evaluating every word in full.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
@@ -37,13 +39,13 @@ from jsrkit.core import (
     ComplexMatrix,
     JsrError,
     MatrixSet,
-    NormKind,
     NormSpec,
     Word,
     batch_operator_norms,
     batch_spectral_radii,
     check_budget,
     count_words,
+    max_operator_norm,
     product_levels,
     word_from_index,
 )
@@ -104,12 +106,14 @@ class NilpotencyResult(NamedTuple):
 
 @dataclass(frozen=True)
 class JsrInterval:
-    """A certified enclosure lower <= jsr(S) <= upper.
+    """A floating-point enclosure lower <= jsr(S) <= upper (roundoff unbounded).
 
     ``lower_witness`` is a word whose normalized spectral radius reproduces
     ``lower``; ``upper_depth`` is the power at which the norm side attained
-    its minimum.  ``diagnostics`` carries sweep counters (depth reached,
-    words enumerated, eigensolves skipped, budget / early-stop flags).
+    its minimum.  ``diagnostics`` holds float counters: ``depth_reached``,
+    ``words_enumerated``, ``eig_skipped``, ``svd_run`` and ``svd_skipped``
+    (SVDs; both 0 under the row- and column-sum norms), and the flags
+    ``budget_exhausted`` and ``early_stop_width``.
     """
 
     lower: float
@@ -174,6 +178,8 @@ def _sweep(
     up_depth = 0
     words_seen = 0
     eig_skipped = 0
+    svd_run = 0
+    svd_skipped = 0
     depth_reached = 0
     budget_hit = False
     early_stop = False
@@ -188,11 +194,14 @@ def _sweep(
         words_seen += level_count
         depth_reached = k
 
-        row_sums = np.abs(level).sum(axis=2).max(axis=1)
+        # without a norm side, the row-sum norm adds nothing to the shared pass
+        norms = max_operator_norm(level, n if want_upper else NormSpec.max_row_sum())
+        row_sums = norms.row_sums
 
         if want_upper:
-            norms = row_sums if n.kind is NormKind.MAX_ROW_SUM else batch_operator_norms(level, n)
-            lev_up = float(norms.max()) ** (1.0 / k)
+            svd_run += norms.svd_run
+            svd_skipped += norms.svd_skipped
+            lev_up = norms.value ** (1.0 / k)
             if lev_up < best_up:
                 best_up = lev_up
                 up_depth = k
@@ -208,8 +217,7 @@ def _sweep(
             radii = np.zeros(level_count)
             if mask.any():
                 radii[mask] = batch_spectral_radii(level[mask])
-            scale = np.abs(level).max(axis=(1, 2))
-            radii[radii <= _EIG_NOISE_FACTOR * d * eps * scale] = 0.0
+            radii[radii <= _EIG_NOISE_FACTOR * d * eps * norms.scale] = 0.0
             vals = radii ** (1.0 / k)
             lev_best = float(vals.max()) if level_count else 0.0
             if lev_best > best_low:
@@ -242,6 +250,8 @@ def _sweep(
         "depth_reached": float(depth_reached),
         "words_enumerated": float(words_seen),
         "eig_skipped": float(eig_skipped),
+        "svd_run": float(svd_run),
+        "svd_skipped": float(svd_skipped),
         "budget_exhausted": 1.0 if budget_hit else 0.0,
         "early_stop_width": 1.0 if early_stop else 0.0,
     }
@@ -274,7 +284,7 @@ def upper_bound(
     *,
     word_cap: int = WORD_CAP,
 ) -> float:
-    """min over 1 <= k <= depth of ||S^k||_n^(1/k); a certified upper bound."""
+    """min over 1 <= k <= depth of ||S^k||_n^(1/k); a floating-point upper bound."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     check_budget(s.size, depth, word_cap, f"upper_bound to depth {depth}")
@@ -283,13 +293,14 @@ def upper_bound(
 
 
 def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
-    """Both sandwich bounds in a single exhaustive sweep.
+    """Both sandwich bounds in a single sweep that visits every word.
 
-    The running lower bound prunes eigenvalue work only, so the returned
-    interval is identical to running ``lower_bound`` and ``upper_bound``
-    separately at the same depth.  On budget exhaustion the deepest
-    completed level determines a (wider) valid interval, flagged in the
-    diagnostics rather than raised.
+    The running lower bound skips eigensolves, and each level's norm
+    brackets skip singular value decompositions, only where they cannot
+    change the result.  So the returned interval is identical to running
+    ``lower_bound`` and ``upper_bound`` separately at the same depth.  On
+    budget exhaustion the deepest completed level determines a (wider)
+    valid interval, flagged in the diagnostics rather than raised.
     """
     low, witness, up, up_depth, diag = _sweep(
         s,
@@ -425,7 +436,7 @@ def rota_strang_norm(
     value = x_norm
     level_norms = []  # ||S^k||_2 for k = 1..trunc
     for k, level in enumerate(product_levels(s, trunc), start=1):
-        level_norms.append(float(batch_operator_norms(level, SPECTRAL).max()))
+        level_norms.append(max_operator_norm(level).value)
         value += float(np.linalg.norm(level @ v, axis=1).max()) * r**k
 
     roots = [ln ** (1.0 / k) for k, ln in enumerate(level_norms, start=1)]
@@ -464,7 +475,6 @@ class PolytopeNorm:
 
     rho_hat: float
     depth: int
-    words: tuple[Word, ...]
     matrices: np.ndarray  # (count, d, d), scaled by rho_hat^-|w|
     slack: float
     sample_size: int
@@ -501,10 +511,6 @@ def barabanov_approx(
         raise ValueError("depth must be >= 1")
     check_budget(s.size, depth, word_cap, f"barabanov_approx to depth {depth}")
     d = s.dim
-    # itertools.product order is the engine's row order
-    words = [()] + [
-        w for k in range(1, depth + 1) for w in itertools.product(range(s.size), repeat=k)
-    ]
     matrices = np.concatenate(
         [np.eye(d, dtype=np.complex128)[np.newaxis]]
         + [
@@ -530,7 +536,6 @@ def barabanov_approx(
     pn = PolytopeNorm(
         rho_hat=rho_hat,
         depth=depth,
-        words=tuple(words),
         matrices=matrices,
         slack=slack,
         sample_size=sample_size,

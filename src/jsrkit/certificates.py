@@ -44,6 +44,7 @@ from .core import (
     check_budget,
     count_words,
     eval_word,
+    max_operator_norm,
     operator_norm,
     product_levels,
     set_norm,
@@ -596,9 +597,8 @@ def check_boca_new(
     clamped = n1 < n1_full
     for stack in product_levels(s, n1):
         pass
-    norms = batch_operator_norms(stack, n)
-    idx = int(np.argmax(norms))
-    lhs = float(norms[idx])
+    top = max_operator_norm(stack, n)
+    idx, lhs = top.index, top.value
     base = float(2**7 * d**4 * set_norm(s, n) ** (n1 - 1))
     rhs_lo, rhs_up = base * interval.lower, base * interval.upper
     if lhs <= rhs_lo:

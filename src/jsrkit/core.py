@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
     "eval_word",
     "spectral_radius",
     "operator_norm",
+    "LevelNorms",
+    "max_operator_norm",
     "vector_norm",
     "set_norm",
     "count_words",
@@ -189,14 +191,6 @@ class MatrixSet:
         """The set {c*m for m in members}, preserving order."""
         return MatrixSet(tuple(ComplexMatrix(c * m.entries) for m in self.members))
 
-    def conjugated(self, g: np.ndarray) -> "MatrixSet":
-        """The set {g m g^-1 for m in members}."""
-        g = np.asarray(g, dtype=np.complex128)
-        g_inv = np.linalg.inv(g)
-        return MatrixSet(
-            tuple(ComplexMatrix(g @ m.entries @ g_inv) for m in self.members)
-        )
-
     def __repr__(self):
         return f"MatrixSet(size={self.size}, dim={self.dim})"
 
@@ -341,6 +335,129 @@ def batch_operator_norms(stack: np.ndarray, n: NormSpec = SPECTRAL) -> np.ndarra
         conj = np.einsum("ij,njk,kl->nil", n.g, stack, n.g_inv)
         return np.linalg.svd(conj, compute_uv=False)[..., 0]
     raise ValueError(f"unknown norm kind {n.kind!r}")
+
+
+class LevelNorms(NamedTuple):
+    """The largest norm of a stack, and what the same pass saw per row."""
+
+    value: float  # max of batch_operator_norms(stack, n)
+    index: int  # its first argmax
+    svd_run: int
+    svd_skipped: int
+    row_sums: np.ndarray  # per row: the max absolute row sum
+    scale: np.ndarray  # per row: the max |entry|
+
+
+# |entries| is taken this many entries at a time, so the pass never holds a
+# whole-level temporary
+_BLOCK_ENTRIES = 1 << 16
+
+# A row skips its SVD when upper * (1 + g) < L * (1 - g), with g =
+# _SKIP_GUARD * d * eps and L the largest lower bracket.  Why no rounding can
+# drop the argmax or a tie (u = eps / 2):
+# * Each computed bracket is within a relative (d + 3) u <= 2 d eps of the
+#   exact bracket of the same matrix: one ulp for |z|, its square doubles
+#   that and adds one, each of the nested sums of d nonnegative terms adds
+#   (d - 1) u, sqrt halves the total and adds one ulp.  Scaling by 2^-e is
+#   exact, bar entries it pushes below 2^-1022, 2^1021 under the row's
+#   largest.  A subnormal |entry| in a row whose largest is normal is off by
+#   at most u times that largest, which 2 d eps still covers.  An
+#   ellipsoidal row is bracketed and SVD'd as the same computed conjugate,
+#   because einsum builds each row alone.
+# * LAPACK's largest singular value is that of some A + E with
+#   ||E||_2 <= p(d) u ||A||_2, p a modest function of d.
+# * For rows w, w_L with computed sigma(w) >= sigma(w_L), the chain
+#   upper(w) ~ ||w||_2 ~ sigma(w) >= sigma(w_L) ~ ||w_L||_2 ~ lower(w_L) = L,
+#   each ~ a relative error a (brackets) or b (LAPACK), gives
+#   upper(w) (1 + a)(1 + b) >= L (1 - a)(1 - b), and that ratio is at most
+#   (1 + a + b) / (1 - a - b).  So g covers a + b whenever p(d) <= 120 d,
+#   the three roundings of the test itself included.
+# Every row whose computed norm ties or beats the maximum is kept, so the
+# max and its first argmax equal those of the full computation bit for bit.
+_SKIP_GUARD = 64.0
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` (NaN included), one ``np.maximum`` per column.
+
+    numpy's reductions over a short last axis cost tens of nanoseconds per
+    row, far more than the arithmetic.
+    """
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out
+
+
+def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
+    """``batch_operator_norms(stack, n)``'s max and first argmax, in one pass.
+
+    Row- and column-sum norms are exact sums.  For the spectral and
+    ellipsoidal kinds (the latter conjugated first) every row gets the cheap
+    bracket  max(max column 2-norm, max row 2-norm) <= ||A||_2 <=
+    min(Frobenius, sqrt(||A||_1 ||A||_inf)),  computed after an exact
+    power-of-two rescaling so that no square overflows or underflows, and
+    only rows whose upper bracket can reach the largest lower one go through
+    ``batch_operator_norms``.  A row whose largest |entry| is subnormal,
+    where |z| itself is off by more than an ulp, gets no bracket and always
+    goes through it.
+    """
+    count, d = stack.shape[0], stack.shape[1]
+    svd = n.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL)
+    row_sums, scale = np.empty(count), np.empty(count)
+    if svd:
+        lower, upper = np.empty(count), np.empty(count)
+        exps = np.empty(count, dtype=np.int32)
+    elif n.kind is NormKind.MAX_COL_SUM:
+        col_sums = np.empty(count)
+    tiny = np.finfo(float).tiny
+    rows = max(1, _BLOCK_ENTRIES // (d * d))
+    for lo in range(0, count, rows):
+        part = slice(lo, lo + rows)
+        a = np.abs(stack[part])
+        # these two read exactly as a whole-level numpy reduction would
+        row_sums[part] = _max_last(a.sum(axis=2))
+        scale[part] = top = _max_last(_max_last(a))
+        if n.kind is NormKind.MAX_COL_SUM:
+            col_sums[part] = _max_last(a.sum(axis=1))
+        if not svd:
+            continue
+        if n.kind is NormKind.ELLIPSOIDAL:
+            a = np.abs(np.einsum("ij,njk,kl->nil", n.g, stack[part], n.g_inv))
+            top = _max_last(_max_last(a))
+        exps[part] = np.frexp(top)[1]
+        a = np.ldexp(a, -exps[part, np.newaxis, np.newaxis])
+        sq = a * a
+        row2, col2 = np.einsum("nij->ni", sq), np.einsum("nij->nj", sq)
+        low = np.sqrt(_max_last(np.maximum(row2, col2)))
+        up = np.minimum(
+            np.sqrt(np.einsum("ni->n", row2)),
+            np.sqrt(_max_last(np.einsum("nij->nj", a)) * _max_last(np.einsum("nij->ni", a))),
+        )
+        unbracketed = (top < tiny) & (top != 0)
+        low[unbracketed], up[unbracketed] = 0.0, np.inf
+        lower[part], upper[part] = low, up
+
+    if not svd:
+        sums = row_sums if n.kind is NormKind.MAX_ROW_SUM else col_sums
+        i = int(np.argmax(sums))
+        return LevelNorms(float(sums[i]), i, 0, 0, row_sums, scale)
+    # compare on the scale of the largest row, where the brackets that
+    # matter stay normal numbers; exactly the zero rows have upper = 0
+    nonzero = upper != 0
+    if not nonzero.any():
+        return LevelNorms(0.0, 0, 0, count, row_sums, scale)
+    exps -= exps[nonzero].max()
+    np.ldexp(lower, exps, out=lower)
+    np.ldexp(upper, exps, out=upper)
+    best = lower.max()  # a NaN here keeps every row
+    guard = _SKIP_GUARD * d * np.finfo(float).eps
+    keep = np.flatnonzero(~(upper * (1 + guard) < best * (1 - guard)))
+    norms = batch_operator_norms(stack[keep], n)
+    j = int(np.argmax(norms))
+    return LevelNorms(
+        float(norms[j]), int(keep[j]), keep.size, count - keep.size, row_sums, scale
+    )
 
 
 def vector_norm(x, n: NormSpec = SPECTRAL) -> float:

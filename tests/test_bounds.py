@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from jsrkit import bounds, certificates
 from jsrkit.bounds import (
     DivergentSeriesError,
     IndeterminateRankError,
@@ -15,15 +17,23 @@ from jsrkit.bounds import (
     rota_strang_norm,
     upper_bound,
 )
+from jsrkit.certificates import check_boca_new
 from jsrkit.core import (
+    SPECTRAL,
     BudgetExceededError,
+    LevelNorms,
     MatrixSet,
     NormSpec,
+    batch_operator_norms,
     eval_word,
+    max_operator_norm,
     operator_norm,
+    product_levels,
     set_norm,
     spectral_radius,
 )
+from jsrkit.families import unitary_mix
+from test_properties import conjugated
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -146,6 +156,72 @@ def test_estimate_early_stop():
     assert iv.diagnostics["depth_reached"] < 50
 
 
+def test_estimate_counts_svds():
+    rng = np.random.default_rng(23)
+    s = MatrixSet.from_arrays(list(rng.standard_normal((2, 3, 3))))
+    iv = jsr_estimate(s, JsrConfig(depth=8))
+    diag = iv.diagnostics
+    assert diag["svd_run"] + diag["svd_skipped"] == diag["words_enumerated"] == 510.0
+    assert 0 < diag["svd_run"] < 100
+    for n in (NormSpec.max_row_sum(), NormSpec.max_col_sum()):
+        diag = jsr_estimate(s, JsrConfig(depth=8, norm=n)).diagnostics
+        assert diag["svd_run"] == diag["svd_skipped"] == 0.0
+
+
+def full_max_operator_norm(stack, n=SPECTRAL):
+    """The reference: every row's norm through batch_operator_norms."""
+    norms = batch_operator_norms(stack, n)
+    i = int(np.argmax(norms))
+    a = np.abs(stack)
+    return LevelNorms(
+        float(norms[i]), i, len(norms), 0, a.sum(axis=2).max(axis=1), a.max(axis=(1, 2))
+    )
+
+
+def differential_sets():
+    rng = np.random.default_rng(29)
+    u = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    sets = [
+        unitary_mix(2, count=3, seed=2),  # words of unitaries tie at norm 1
+        MatrixSet.from_arrays([np.zeros((2, 2)), np.zeros((2, 2))]),
+        MatrixSet.from_arrays([[[0.5]], [[-1.5j]], [[1.5]]]),
+        MatrixSet.from_arrays([u @ u.conj().T, 2 * u @ u.T]),  # rank one
+    ]
+    for m, d in ((1, 3), (2, 2), (2, 4), (3, 3)):
+        mats = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+        sets.append(MatrixSet.from_arrays(list(mats * 10.0 ** rng.integers(-3, 4))))
+    return sets
+
+
+def test_norm_skip_matches_full_svds(monkeypatch):
+    rng = np.random.default_rng(31)
+    for s in differential_sets():
+        d, depth = s.dim, {1: 10, 2: 7, 3: 5, 4: 4}[s.size]
+        g = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+        for n in (SPECTRAL, NormSpec.ellipsoidal(g)):
+            for level in product_levels(s, depth):
+                got, ref = max_operator_norm(level, n), full_max_operator_norm(level, n)
+                assert (got.value, got.index) == (ref.value, ref.index)
+                assert np.array_equal(got.row_sums, ref.row_sums)
+                assert np.array_equal(got.scale, ref.scale)
+
+            def run():
+                iv = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
+                boca = check_boca_new(s, n, iv, word_cap=400)
+                out = [iv.lower, iv.upper, iv.lower_witness, iv.upper_depth]
+                out += [boca.lhs, boca.witnesses["word"]]
+                if n is SPECTRAL:
+                    r = 0.9 / iv.upper if iv.upper > 0 else 1.0
+                    out.append(rota_strang_norm(s, r, np.ones(d), depth))
+                return out
+
+            fast = run()
+            with monkeypatch.context() as mp:
+                mp.setattr(bounds, "max_operator_norm", full_max_operator_norm)
+                mp.setattr(certificates, "max_operator_norm", full_max_operator_norm)
+                assert run() == fast
+
+
 # --- conjugation_search ------------------------------------------------------
 
 
@@ -154,7 +230,7 @@ def test_conjugation_search_triangular():
     g, value = conjugation_search(s, iterations=60)
     assert value <= 1.5
     # reproducibility: conjugating by the returned g gives the same norm
-    conj = s.conjugated(g.entries)
+    conj = conjugated(s, g.entries)
     assert set_norm(conj) == pytest.approx(value, rel=1e-9)
 
 
@@ -258,9 +334,10 @@ def test_barabanov_words_match_matrices():
     s = MatrixSet.from_arrays([rng.integers(-2, 3, (2, 2)) for _ in range(3)])
     rho_hat = 2.0  # a power of two scales exactly
     pn = barabanov_approx(s, rho_hat, 3)
-    assert len(pn.words) == pn.matrices.shape[0] == 1 + 3 + 9 + 27
-    assert pn.words[0] == ()
-    for word, mat in zip(pn.words, pn.matrices):
+    # rows run over the empty word, then each length in itertools.product order
+    words = [()] + [w for k in (1, 2, 3) for w in itertools.product(range(3), repeat=k)]
+    assert pn.matrices.shape[0] == len(words) == 1 + 3 + 9 + 27
+    for word, mat in zip(words, pn.matrices):
         assert np.array_equal(mat, eval_word(s, word) * rho_hat ** -len(word))
 
 

@@ -6,8 +6,10 @@ from jsrkit.core import (
     ComplexMatrix,
     MatrixSet,
     NormSpec,
+    batch_operator_norms,
     count_words,
     eval_word,
+    max_operator_norm,
     operator_norm,
     product_levels,
     product_set,
@@ -102,6 +104,58 @@ def test_set_norm():
     assert set_norm(s, NormSpec.spectral()) == pytest.approx(2.0)
     t = MatrixSet.from_arrays([elem(0, 1, 2), elem(1, 0, 2)])
     assert set_norm(t, NormSpec.spectral()) == pytest.approx(1.0)
+
+
+def assert_max_norm_matches_full_svd(stack, n=NormSpec.spectral()):
+    full = batch_operator_norms(stack, n)
+    top = max_operator_norm(stack, n)
+    assert top.value == full.max()
+    assert top.index == np.argmax(full)
+    a = np.abs(stack)
+    assert np.array_equal(top.row_sums, a.sum(axis=2).max(axis=1))
+    assert np.array_equal(top.scale, a.max(axis=(1, 2)))
+    return top
+
+
+def test_max_operator_norm_is_scale_safe():
+    rng = np.random.default_rng(17)
+    g = NormSpec.ellipsoidal(np.diag([1.0, 4.0, 0.5]) + np.triu(np.ones((3, 3)), 1))
+    base = rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3))
+    # unscaled, squares of 2^+-600 overflow to inf or underflow to zero
+    for e in (500, -500, 600, -600):
+        for n in (NormSpec.spectral(), g):
+            top = assert_max_norm_matches_full_svd(base * 2.0**e, n)
+            assert top.svd_run + top.svd_skipped == 400
+            assert top.svd_run < 100
+    mixed = base * 2.0 ** rng.choice([500, -500], size=(400, 1, 1))
+    mixed[7] *= 2.0 ** rng.choice([0, -1000], size=(3, 3))  # both scales in one row
+    for n in (NormSpec.spectral(), g):
+        top = assert_max_norm_matches_full_svd(mixed, n)
+        assert top.svd_run < 100
+
+
+def test_max_operator_norm_edge_rows():
+    rng = np.random.default_rng(19)
+    base = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    zero = np.zeros((6, 2, 2), dtype=complex)
+    assert max_operator_norm(zero)[2:4] == (0, 6)
+    assert_max_norm_matches_full_svd(zero)
+    # rows whose largest entry is subnormal get no bracket
+    assert_max_norm_matches_full_svd(base * 2.0**-1060)
+    assert_max_norm_matches_full_svd(np.concatenate([zero, base * 2.0**-1060, zero]))
+    # |z| of a subnormal z rounds to whole units t: bracketed from rounded
+    # |z|, row 0 (norm 6 t) would read 4 sqrt2 t, below row 1's 6 t (norm
+    # 4 sqrt2 t), and drop the first argmax
+    t = 2.0**-1074
+    z, w = (3 + 3j) * t, (4 + 4j) * t
+    pair = np.array([[[z, z], [0, 0]], [[w, 0], [0, 0]]])
+    assert assert_max_norm_matches_full_svd(pair).index == 0
+    # ties: every row has norm 1, so every row is kept
+    unit = np.tile(np.eye(2, dtype=complex), (9, 1, 1))
+    assert assert_max_norm_matches_full_svd(unit).svd_run == 9
+    for n in (NormSpec.max_row_sum(), NormSpec.max_col_sum()):
+        top = assert_max_norm_matches_full_svd(base, n)
+        assert top.svd_run == top.svd_skipped == 0
 
 
 def enumerate_levels(s, depth):

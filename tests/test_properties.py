@@ -36,6 +36,13 @@ def random_set(rng: np.random.Generator, nilpotent: bool = False) -> MatrixSet:
     return MatrixSet.from_arrays(list(mats))
 
 
+def conjugated(s: MatrixSet, g) -> MatrixSet:
+    """The set {g m g^-1 for m in s}, in member order."""
+    g = np.asarray(g, dtype=np.complex128)
+    g_inv = np.linalg.inv(g)
+    return MatrixSet.from_arrays([g @ m.entries @ g_inv for m in s.members])
+
+
 def check_sandwich(n: int = 500, seed: int = 101):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -77,7 +84,7 @@ def check_conjugation_invariance(n: int = 500, seed: int = 109):
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         )
         base = lower_bound(s, 3).value
-        conj = lower_bound(s.conjugated(g), 3).value
+        conj = lower_bound(conjugated(s, g), 3).value
         assert np.isclose(base, conj, rtol=1e-7, atol=1e-12 * max(base, 1.0))
 
 
@@ -103,7 +110,7 @@ def check_nilpotent_collapse(n: int = 200, seed: int = 127):
         d = s.dim
         perm = np.zeros((d, d))
         perm[np.arange(d), rng.permutation(d)] = rng.choice([-1.0, 1.0], size=d)
-        sc = s.conjugated(perm)
+        sc = conjugated(s, perm)
         result = nilpotency_test(sc)
         assert result.nilpotent
         assert result.algebra_dim <= d * (d - 1) // 2
