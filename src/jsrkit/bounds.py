@@ -77,7 +77,8 @@ _EIG_NOISE_FACTOR = 64.0
 
 
 class DivergentSeriesError(JsrError):
-    """The weighted series cannot be certified convergent: r * upper >= 1."""
+    """The floating-point test finds r * upper >= 1, so the weighted series
+    has no geometric tail bound."""
 
 
 class IndeterminateRankError(JsrError):
@@ -184,7 +185,7 @@ def _sweep(
     budget_hit = False
     early_stop = False
 
-    levels = product_levels(s, depth)
+    levels = product_levels(s.stack, depth)
     for k in range(1, depth + 1):
         level_count = m**k
         if words_seen + level_count > word_cap:
@@ -418,10 +419,10 @@ def rota_strang_norm(
 
     ``||S^n x||`` is the worst Euclidean image norm over words of length n
     (the n = 0 term is ``||x||``).  Returns the partial sum through
-    ``trunc`` together with a certified geometric bound on the dropped
-    tail, derived from submultiplicativity of the level norms.  Requires
-    r * (best computed upper bound on the jsr) < 1, otherwise the series
-    cannot be certified convergent and DivergentSeriesError is raised.
+    ``trunc`` together with a floating-point geometric bound on the dropped
+    tail, derived from submultiplicativity of the computed level norms.
+    Requires r * (best computed upper bound on the jsr) < 1, otherwise the
+    series has no such tail bound and DivergentSeriesError is raised.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -435,7 +436,7 @@ def rota_strang_norm(
 
     value = x_norm
     level_norms = []  # ||S^k||_2 for k = 1..trunc
-    for k, level in enumerate(product_levels(s, trunc), start=1):
+    for k, level in enumerate(product_levels(s.stack, trunc), start=1):
         level_norms.append(max_operator_norm(level).value)
         value += float(np.linalg.norm(level @ v, axis=1).max()) * r**k
 
@@ -444,7 +445,7 @@ def rota_strang_norm(
     if r * u >= 1.0:
         raise DivergentSeriesError(
             f"r*upper >= 1: r = {r} against the norm-side bound {u}; "
-            f"the series has no certified geometric tail"
+            f"the series has no floating-point geometric tail bound"
         )
     k_star = roots.index(u) + 1
     q = level_norms[k_star - 1] * r**k_star
@@ -515,7 +516,7 @@ def barabanov_approx(
         [np.eye(d, dtype=np.complex128)[np.newaxis]]
         + [
             level * rho_hat**-k
-            for k, level in enumerate(product_levels(s, depth), start=1)
+            for k, level in enumerate(product_levels(s.stack, depth), start=1)
         ]
     )
     matrices.flags.writeable = False

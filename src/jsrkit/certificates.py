@@ -286,7 +286,7 @@ def convex_hull_bound_check(
             f"hypothesis not met: peak radius {eps} over depth {n * d} exceeds 1"
         )
     # lower_bound has already checked the budget of these n <= n * d levels
-    pool = np.concatenate(list(product_levels(s, n)))
+    pool = np.concatenate(list(product_levels(s.stack, n)))
     bound = 2.0 * d * eps
     max_radius = float(batch_spectral_radii(pool).max())
     rng = np.random.default_rng(seed)
@@ -489,7 +489,7 @@ def near_idempotent_search(
         raise ValueError("maxlen must be >= 1")
     check_budget(s.size, maxlen, word_cap, f"near_idempotent_search to {maxlen}")
     best: tuple[float, Word] | None = None
-    for k, level in enumerate(product_levels(s, maxlen), start=1):
+    for k, level in enumerate(product_levels(s.stack, maxlen), start=1):
         norms = batch_operator_norms(level, SPECTRAL)
         ok = np.flatnonzero(norms >= 0.5)
         if ok.size:
@@ -595,7 +595,7 @@ def check_boca_new(
     if n1 < 1:
         raise BudgetExceededError(s.size, word_cap, "power norm at exponent 1")
     clamped = n1 < n1_full
-    for stack in product_levels(s, n1):
+    for stack in product_levels(s.stack, n1):
         pass
     top = max_operator_norm(stack, n)
     idx, lhs = top.index, top.value

@@ -44,7 +44,6 @@ __all__ = [
     "count_words",
     "word_from_index",
     "product_levels",
-    "product_set",
 ]
 
 # Default tolerances and budgets. Every consumer can override these per call.
@@ -516,35 +515,23 @@ def word_from_index(idx: int, length: int, size: int) -> Word:
     return tuple(reversed(digits))
 
 
-def product_levels(s: MatrixSet, depth: int) -> Iterator[np.ndarray]:
-    """Yield the (size**k, d, d) stack of all length-k products, k = 1..depth.
+def product_levels(stack: np.ndarray, depth: int) -> Iterator[np.ndarray]:
+    """Yield the (m**k, d, d) stack of all length-k products, k = 1..depth.
 
-    Row i of level k is ``eval_word(s, word_from_index(i, k, s.size))``.
-    Each level is built from the previous one only when it is asked for,
-    so a caller can check a budget before pulling the next level.
+    ``stack`` holds the m members as one (m, d, d) array of any dtype, and
+    every level is built in that dtype: complex floats for a ``MatrixSet``'s
+    ``stack``, Python ints or Fractions under ``object`` for exact products.
+    Row i of level k is the product of the word ``word_from_index(i, k, m)``,
+    evaluated as ``eval_word`` does.  Each level is built from the previous
+    one only when it is asked for, so a caller can check a budget before
+    pulling the next level.
     """
-    m, d = s.size, s.dim
-    level = s.stack
+    m = stack.shape[0]
+    level = stack
     for k in range(1, depth + 1):
         if k > 1:
-            nxt = np.empty((level.shape[0] * m, d, d), dtype=np.complex128)
+            nxt = np.empty((level.shape[0] * m, *stack.shape[1:]), dtype=stack.dtype)
             for i in range(m):
-                nxt[i::m] = np.einsum("ij,njk->nik", s.members[i].entries, level)
+                nxt[i::m] = np.einsum("ij,njk->nik", stack[i], level)
             level = nxt
         yield level
-
-
-def product_set(
-    s: MatrixSet,
-    k: int,
-    *,
-    word_cap: int = WORD_CAP,
-) -> MatrixSet:
-    """The k-fold product set S^k = {eval(w) : |w| = k} as a MatrixSet."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if s.size ** k > word_cap:
-        raise BudgetExceededError(s.size**k, word_cap, f"product_set at power {k}")
-    for level in product_levels(s, k):
-        pass
-    return MatrixSet.from_arrays(list(level), check_duplicates=False)

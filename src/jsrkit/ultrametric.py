@@ -5,10 +5,12 @@ Newton polygons of exact characteristic polynomials, the joint spectral
 radius equals the peak of Lambda(S^k)^(1/k) over k up to an explicit
 length bound ell(d).  Each set is scaled once, by the lcm D of its
 denominators and by p^-vmin, vmin the least entry valuation of the integer
-set, and every kernel runs on arbitrary-precision ints; the scaled set has
-norm exponent 0, and a length-k product of it has every exponent
-k (v_p(D) - vmin) above the original, so results shift back by that much
-per letter.  No floating point, no tolerances.
+set, into an object array of arbitrary-precision ints; the word products
+come from ``core.product_levels``, the engine the floating-point side uses,
+run on that array.  The scaled set has norm exponent 0, and a length-k
+product of it has every exponent k (v_p(D) - vmin) above the original, so
+results shift back by that much per letter.  No floating point, no
+tolerances.
 
 Magnitudes are carried in exponent form: PAdicMagnitude(e) denotes the
 value p^(-e) with e rational (roots in the algebraic closure can have
@@ -24,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import WORD_CAP, BudgetExceededError, Word, check_budget, word_from_index
+import numpy as np
+
+from .core import WORD_CAP, Word, check_budget, product_levels, word_from_index
 
 __all__ = [
     "BOTTOM",
@@ -41,7 +45,6 @@ __all__ = [
     "max_root_magnitude",
     "padic_jsr_exact",
     "padic_nilpotency_exact",
-    "padic_product_set",
     "padic_valuation",
     "ultrametric_set_norm",
 ]
@@ -323,25 +326,25 @@ class PAdicMatrixSet:
         return len(self.members)
 
     @functools.cached_property
-    def _scaled(self) -> tuple[int | None, tuple]:
-        """(shift, the members times D / p^vmin as flat int tuples), D the
-        lcm of all denominators and vmin the least entry valuation of the
-        members times D, so the scaled set has norm exponent 0 and
-        shift = v_p(D) - vmin; the kernels run on these and shift back.
-        shift is None for the zero set."""
-        flats = [_flat(mem) for mem in self.members]
-        den = _lcm_denominator(x for f in flats for x in f)
-        ints = [_times(f, den) for f in flats]
-        vmin = _min_valuation_flat((x for f in ints for x in f), self.prime)
-        if vmin is None:
-            return None, tuple(ints)
-        unit = self.prime**vmin
-        scaled = tuple(tuple(x // unit for x in f) for f in ints)
-        return _int_valuation(den, self.prime) - vmin, scaled
-
-
-def _flat(member) -> tuple:
-    return tuple(x for row in member for x in row)
+    def _scaled(self) -> tuple[int | None, np.ndarray]:
+        """(shift, the members times D / p^vmin), D the lcm of all
+        denominators and vmin the least entry valuation of the members times
+        D, so the scaled set has norm exponent 0 and shift = v_p(D) - vmin;
+        the kernels run on the scaled members and shift back.  They come as
+        one read-only (size, dim, dim) object array of Python ints.  shift
+        is None for the zero set."""
+        entries = [x for mem in self.members for row in mem for x in row]
+        den = _lcm_denominator(entries)
+        ints = np.array(_times(entries, den), dtype=object).reshape(
+            self.size, self.dim, self.dim
+        )
+        vmin = int(_valuations(ints.reshape(1, -1), self.prime)[0])
+        shift = None
+        if vmin >= 0:
+            ints //= self.prime**vmin
+            shift = _int_valuation(den, self.prime) - vmin
+        ints.flags.writeable = False
+        return shift, ints
 
 
 def _lcm_denominator(entries) -> int:
@@ -353,51 +356,19 @@ def _times(flat, den: int) -> tuple:
     return tuple(x.numerator * (den // x.denominator) for x in flat)
 
 
-def _matmul_flat(a, b, d):
-    if d == 2:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return (
-            a0 * b0 + a1 * b2,
-            a0 * b1 + a1 * b3,
-            a2 * b0 + a3 * b2,
-            a2 * b1 + a3 * b3,
-        )
-    if d == 3:
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-        return (
-            a0 * b0 + a1 * b3 + a2 * b6,
-            a0 * b1 + a1 * b4 + a2 * b7,
-            a0 * b2 + a1 * b5 + a2 * b8,
-            a3 * b0 + a4 * b3 + a5 * b6,
-            a3 * b1 + a4 * b4 + a5 * b7,
-            a3 * b2 + a4 * b5 + a5 * b8,
-            a6 * b0 + a7 * b3 + a8 * b6,
-            a6 * b1 + a7 * b4 + a8 * b7,
-            a6 * b2 + a7 * b5 + a8 * b8,
-        )
-    return tuple(
-        sum(a[r * d + t] * b[t * d + c] for t in range(d))
-        for r in range(d)
-        for c in range(d)
-    )
-
-
-def _min_valuation_flat(flat, p: int):
-    # exponent of the entrywise max magnitude of an integer matrix; None when
-    # it is zero.  Integers cannot dip below valuation 0, so bail at the
-    # first entry coprime to p
-    vmin = None
-    for x in flat:
-        if x == 0:
-            continue
-        if x % p:
-            return 0
-        v = _int_valuation(x, p)
-        if vmin is None or v < vmin:
-            vmin = v
-    return vmin
+def _valuations(level: np.ndarray, p: int) -> np.ndarray:
+    """Per row of an integer ``level``, the least valuation of its entries,
+    which is the exponent of its entrywise max magnitude; -1 for a zero row.
+    """
+    g = np.gcd.reduce(level.reshape(level.shape[0], -1), axis=1)
+    zero = g == 0
+    v = np.where(zero, -1, 0)
+    rows = np.flatnonzero(~zero)
+    while rows.size:
+        rows = rows[g[rows] % p == 0]
+        g[rows] //= p
+        v[rows] += 1
+    return v
 
 
 def ultrametric_set_norm(s: PAdicMatrixSet) -> PAdicMagnitude:
@@ -449,11 +420,11 @@ def padic_jsr_exact(
     Sweeps every word of length up to ``ell`` (default ``ell_bound(d)``,
     which provably suffices; pass a smaller or larger value to trade
     completeness for time, e.g. in stability experiments) breadth-first,
-    one level of ``_product_levels`` at a time.  Each word's eigenvalue
-    magnitude comes from the Newton polygon of its exact characteristic
-    polynomial; the return value is EXACT, with a witness word attaining
-    it.  Ties go to the shortest word and then to the lexicographically
-    first one.
+    one level of ``core.product_levels`` over the scaled set at a time.
+    Each word's eigenvalue magnitude comes from the Newton polygon of its
+    exact characteristic polynomial; the return value is EXACT, with a
+    witness word attaining it.  Ties go to the shortest word and then to
+    the lexicographically first one.
 
     Words whose entrywise norm already caps their eigenvalue magnitude
     below the running best are not analyzed further (the norm bound
@@ -470,23 +441,23 @@ def padic_jsr_exact(
     check_budget(m, ell, word_cap, f"exact sweep to depth {ell}")
 
     # the scaled set has norm exponent 0, so best_val == 0 is the set norm
-    shift, members = s._scaled
+    shift, stack = s._scaled
     best_val: Fraction | None = None  # exponent of the running best rho
     best_k = best_i = 0
-    for k, level in enumerate(_product_levels(members, d, ell), 1):
-        live = False
-        for i, prod in enumerate(level):
-            vmin = _min_valuation_flat(prod, p)
-            if vmin is None:
-                continue
-            live = True
-            # Lambda <= ||.||_0, so vmin/k >= best_val means this word cannot
-            # improve the peak; compare cross-multiplied to stay allocation-free
-            if best_val is None or vmin * best_val.denominator < best_val.numerator * k:
-                lam = _lambda_exponent(prod, d, p)
-                if lam is not None and (best_val is None or lam / k < best_val):
-                    best_val, best_k, best_i = lam / k, k, i
-        if best_val == 0 or not live:
+    for k, level in enumerate(product_levels(stack, ell), 1):
+        vmin = _valuations(level, p)
+        # Lambda <= ||.||_0, so vmin/k >= best_val means a word cannot
+        # improve the peak; compare cross-multiplied to stay exact
+        live = vmin >= 0
+        keep = live
+        if best_val is not None:
+            keep = live & (vmin * best_val.denominator < best_val.numerator * k)
+        rows = np.flatnonzero(keep)
+        for i in rows.tolist():
+            lam = _lambda_exponent(level[i].ravel().tolist(), d, p)
+            if lam is not None and (best_val is None or lam / k < best_val):
+                best_val, best_k, best_i = lam / k, k, i
+        if best_val == 0 or not live.any():
             break
 
     if best_val is None:
@@ -494,51 +465,6 @@ def padic_jsr_exact(
     return PAdicJsrResult(
         PAdicMagnitude(best_val - shift), word_from_index(best_i, best_k, m)
     )
-
-
-def padic_eval_word(s: PAdicMatrixSet, word: Sequence[int]):
-    """Exact product for a word (``word[0]`` acts first), as row tuples."""
-    d = s.dim
-    out = tuple(
-        Fraction(1) if r == c else Fraction(0) for r in range(d) for c in range(d)
-    )
-    for i in word:
-        if not 0 <= int(i) < s.size:
-            raise ValueError(f"word letter {i} out of range")
-        out = _matmul_flat(_flat(s.members[int(i)]), out, d)
-    return tuple(tuple(out[r * d + c] for c in range(d)) for r in range(d))
-
-
-def _product_levels(members: Sequence[tuple], d: int, depth: int):
-    """Yield the list of all length-k exact products of the flat ``members``,
-    k = 1..depth, as flat tuples; row order and word convention are those of
-    ``core.product_levels``, so row i is
-    ``word_from_index(i, k, len(members))``.  Each level is built only when
-    it is asked for.  ``padic_jsr_exact``, ``padic_product_set`` and
-    ``check_ultra_boca`` use it.
-    """
-    level = members
-    for k in range(1, depth + 1):
-        if k > 1:
-            level = [_matmul_flat(a, prod, d) for prod in level for a in members]
-        yield level
-
-
-def padic_product_set(
-    s: PAdicMatrixSet, k: int, *, word_cap: int = WORD_CAP
-) -> PAdicMatrixSet:
-    """S^k as an exact PAdicMatrixSet (all |S|^k length-k products)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if s.size**k > word_cap:
-        raise BudgetExceededError(s.size**k, word_cap, f"product set at power {k}")
-    d = s.dim
-    for level in _product_levels([_flat(mem) for mem in s.members], d, k):
-        pass
-    mats = tuple(
-        tuple(prod[r * d : (r + 1) * d] for r in range(d)) for prod in level
-    )
-    return PAdicMatrixSet(d, s.prime, mats)
 
 
 class UltraBocaReport(NamedTuple):
@@ -563,16 +489,16 @@ def check_ultra_boca(
     d, m, p = s.dim, s.size, s.prime
     # its budget covers S^d too: count_words(m, ell_bound(d)) >= m**d
     rho, rho_witness = padic_jsr_exact(s, word_cap=word_cap)
-    shift, members = s._scaled
-    for level in _product_levels(members, d, d):
+    shift, stack = s._scaled
+    for level in product_levels(stack, d):
         pass
-    vbest = None
-    ibest = 0
-    for i, prod in enumerate(level):
-        v = _min_valuation_flat(prod, p)
-        if v is not None and (vbest is None or v < vbest):
-            vbest, ibest = v, i
-    lhs = BOTTOM if vbest is None else PAdicMagnitude(vbest - d * shift)
+    vmin = _valuations(level, p)
+    live = np.flatnonzero(vmin >= 0)
+    if live.size:
+        ibest = int(live[np.argmin(vmin[live])])
+        lhs = PAdicMagnitude(int(vmin[ibest]) - d * shift)
+    else:
+        ibest, lhs = 0, BOTTOM
     norm = ultrametric_set_norm(s)
     rhs = rho * norm ** (d - 1)
     return UltraBocaReport(
@@ -605,6 +531,11 @@ def _try_extend(vec: Sequence[int], basis: list[tuple[int, list]]) -> bool:
     return False
 
 
+def _flats(stack: np.ndarray) -> list[list]:
+    # the matrices of a stack as flat lists of Python ints, in row order
+    return stack.reshape(-1, stack.shape[-1] ** 2).tolist()
+
+
 def padic_nilpotency_exact(s: PAdicMatrixSet) -> bool:
     """Whether the algebra generated by the members is nilpotent, exactly.
 
@@ -617,27 +548,20 @@ def padic_nilpotency_exact(s: PAdicMatrixSet) -> bool:
     d = s.dim
     mats = s._scaled[1]
     basis: list[tuple[int, list]] = []
-    queue = [m for m in mats if _try_extend(m, basis)]
+    queue = [m for m in _flats(mats) if _try_extend(m, basis)]
     while queue:
-        w = queue.pop()
-        for m in mats:
-            prod = _matmul_flat(m, w, d)
-            if _try_extend(prod, basis):
-                queue.append(prod)
+        prods = mats @ np.array(queue.pop(), dtype=object).reshape(d, d)
+        queue += [prod for prod in _flats(prods) if _try_extend(prod, basis)]
     if not basis:
         return True  # all members are zero
-    algebra = [tuple(row) for _, row in basis]
+    algebra = np.array([row for _, row in basis], dtype=object).reshape(-1, d, d)
 
     layer = algebra
     for _ in range(d - 1):
         nxt_basis: list[tuple[int, list]] = []
-        nxt = []
-        for a in algebra:
-            for w in layer:
-                prod = _matmul_flat(a, w, d)
-                if _try_extend(prod, nxt_basis):
-                    nxt.append(prod)
+        prods = algebra[:, np.newaxis] @ layer
+        nxt = [prod for prod in _flats(prods) if _try_extend(prod, nxt_basis)]
         if not nxt:
             return True
-        layer = nxt
+        layer = np.array(nxt, dtype=object).reshape(-1, d, d)
     return False

@@ -199,7 +199,7 @@ def test_norm_skip_matches_full_svds(monkeypatch):
         d, depth = s.dim, {1: 10, 2: 7, 3: 5, 4: 4}[s.size]
         g = np.eye(d) + 0.4 * rng.standard_normal((d, d))
         for n in (SPECTRAL, NormSpec.ellipsoidal(g)):
-            for level in product_levels(s, depth):
+            for level in product_levels(s.stack, depth):
                 got, ref = max_operator_norm(level, n), full_max_operator_norm(level, n)
                 assert (got.value, got.index) == (ref.value, ref.index)
                 assert np.array_equal(got.row_sums, ref.row_sums)

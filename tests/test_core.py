@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from jsrkit.core import (
+    WORD_CAP,
     BudgetExceededError,
     ComplexMatrix,
     MatrixSet,
     NormSpec,
     batch_operator_norms,
+    check_budget,
     count_words,
     eval_word,
     max_operator_norm,
     operator_norm,
     product_levels,
-    product_set,
     set_norm,
     spectral_radius,
     vector_norm,
@@ -162,7 +163,7 @@ def enumerate_levels(s, depth):
     """(word, product) pairs of every level, in the engine's row order."""
     return [
         (word_from_index(i, k, s.size), level[i])
-        for k, level in enumerate(product_levels(s, depth), start=1)
+        for k, level in enumerate(product_levels(s.stack, depth), start=1)
         for i in range(level.shape[0])
     ]
 
@@ -198,7 +199,7 @@ def test_product_levels_match_eval_word():
         s = MatrixSet.from_arrays(
             [rng.integers(-3, 4, (3, 3)) for _ in range(m)], check_duplicates=False
         )
-        levels = list(product_levels(s, 4))
+        levels = list(product_levels(s.stack, 4))
         assert [lv.shape for lv in levels] == [(m**k, 3, 3) for k in range(1, 5)]
         for k, level in enumerate(levels, start=1):
             for i in range(m**k):
@@ -208,16 +209,8 @@ def test_product_levels_match_eval_word():
 
 
 def test_enumeration_budget():
-    s = MatrixSet.from_arrays([np.eye(2), 2 * np.eye(2)])
+    # the guard every caller runs before pulling levels of product_levels
     with pytest.raises(BudgetExceededError) as err:
-        product_set(s, 40)
+        check_budget(2, 40, WORD_CAP, "product levels to depth 40")
     assert "cap" in str(err.value)
-
-
-def test_product_set():
-    s = MatrixSet.from_arrays([elem(0, 1, 2), elem(1, 0, 2)])
-    sq = product_set(s, 2)
-    assert sq.size == 4
-    # index = i1 * size + i2 in word order (i1 first-applied)
-    assert np.array_equal(sq.members[0 * 2 + 1].entries, eval_word(s, (0, 1)))
-    assert np.array_equal(sq.members[1 * 2 + 0].entries, eval_word(s, (1, 0)))
+    assert check_budget(2, 3, WORD_CAP, "product levels to depth 3") == 14

@@ -1,9 +1,9 @@
 """Exact p-adic joint spectral radius machinery.
 
 Every expected value in here is either computed by hand, derived from an
-independent oracle (cofactor-expansion characteristic polynomials, brute
-force root valuations), or pinned by an exact identity; there are no
-tolerances anywhere in this file.
+independent oracle (plain-loop Fraction word products, cofactor-expansion
+characteristic polynomials, brute force root valuations), or pinned by an
+exact identity; there are no tolerances anywhere in this file.
 """
 
 import itertools
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from jsrkit import ultrametric
-from jsrkit.core import BudgetExceededError, word_from_index
+from jsrkit.core import BudgetExceededError, product_levels, word_from_index
 from jsrkit.ultrametric import (
     BOTTOM,
     NewtonPolygon,
@@ -26,10 +26,8 @@ from jsrkit.ultrametric import (
     ell_bound,
     is_prime,
     max_root_magnitude,
-    padic_eval_word,
     padic_jsr_exact,
     padic_nilpotency_exact,
-    padic_product_set,
     padic_valuation,
     ultrametric_set_norm,
 )
@@ -42,6 +40,58 @@ def intset(mats, p):
 def rand_int_set(rng, d, p, m=2, lo=-9, hi=9):
     mats = [[[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)] for _ in range(m)]
     return intset(mats, p)
+
+
+def fraction_matmul(a, b):
+    d = len(a)
+    return tuple(
+        tuple(sum((a[r][t] * b[t][c] for t in range(d)), Fraction(0)) for c in range(d))
+        for r in range(d)
+    )
+
+
+def word_product(s, word):
+    """The exact product of ``word`` (``word[0]`` acts first) as row tuples,
+    by a plain Fraction loop: the oracle for the product engine."""
+    d = s.dim
+    out = tuple(tuple(Fraction(int(r == c)) for c in range(d)) for r in range(d))
+    for letter in word:
+        out = fraction_matmul(s.members[letter], out)
+    return out
+
+
+def entry_norm(prod, p):
+    """||prod||_0, the largest entry magnitude, from the entries' valuations."""
+    vals = [padic_valuation(x, p) for row in prod for x in row if x != 0]
+    return PAdicMagnitude(min(vals)) if vals else BOTTOM
+
+
+def brute_force(s):
+    """(rho, witness) over every word up to ell(d), each product by the
+    plain loop from its prefix's: the witness is the min by (length, word)
+    among the words attaining rho."""
+    best, attained = BOTTOM, []
+    prods = {(): word_product(s, ())}
+    for k in range(1, ell_bound(s.dim) + 1):
+        for w in itertools.product(range(s.size), repeat=k):
+            prods[w] = fraction_matmul(s.members[w[-1]], prods[w[:-1]])
+            lam = max_root_magnitude(char_poly_exact(prods[w]), s.prime).root(k)
+            if best < lam:
+                best, attained = lam, []
+            if lam == best and not lam.is_bottom:
+                attained.append(w)
+    return best, min(attained, key=lambda w: (len(w), w), default=(0,))
+
+
+def fraction_levels(s, depth):
+    """``core.product_levels`` run on the members as a Fraction stack."""
+    return product_levels(np.array(s.members, dtype=object), depth)
+
+
+def power_set(s, k):
+    """S^k, the products of every length-k word, as a PAdicMatrixSet."""
+    *_, level = fraction_levels(s, k)
+    return PAdicMatrixSet.from_rows(list(level), s.prime)
 
 
 # --- rationals and valuations ---------------------------------------------------
@@ -333,32 +383,30 @@ def test_ell_bound_values():
 
 def test_eval_word_conventions():
     s = intset([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], 3)
-    ident = padic_eval_word(s, ())
-    assert ident == ((1, 0), (0, 1))
+    assert word_product(s, ()) == ((1, 0), (0, 1))
     # later letters multiply on the left: (0, 1) is E21 @ E12 = diag(0, 1)
-    assert padic_eval_word(s, (0, 1)) == ((0, 0), (0, 1))
-    assert padic_eval_word(s, (1, 0)) == ((1, 0), (0, 0))
-    with pytest.raises(ValueError):
-        padic_eval_word(s, (2,))
-
-
-def test_product_set_sizes_and_cap():
-    s = intset([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], 2)
-    sq = padic_product_set(s, 2)
-    assert sq.size == 4 and sq.dim == 2 and sq.prime == 2
-    with pytest.raises(BudgetExceededError):
-        padic_product_set(s, 30)
+    assert word_product(s, (0, 1)) == ((0, 0), (0, 1))
+    assert word_product(s, (1, 0)) == ((1, 0), (0, 0))
+    _, level = fraction_levels(s, 2)
+    assert level[0 * 2 + 1].tolist() == [[0, 0], [0, 1]]
+    assert level[1 * 2 + 0].tolist() == [[1, 0], [0, 0]]
 
 
 def test_product_set_rows_follow_the_word_index():
+    # core.product_levels on an object stack of Fractions, row by row
+    # against the plain loop, on sets with denominators
     rng = random.Random(19)
     for m in (1, 2, 3):
-        s = rand_int_set(rng, 2, 3, m=m)
-        for k in (1, 2, 3):
-            members = padic_product_set(s, k).members
-            assert len(members) == m**k
-            for i, prod in enumerate(members):
-                assert prod == padic_eval_word(s, word_from_index(i, k, m))
+        for d in (1, 2, 3):
+            entries = [
+                Fraction(rng.randint(-9, 9), rng.choice([1, 2, 9])) for _ in range(m * d * d)
+            ]
+            s = intset(np.reshape(entries, (m, d, d)).tolist(), 3)
+            for k, level in enumerate(fraction_levels(s, 3), 1):
+                assert level.shape == (m**k, d, d) and level.dtype == object
+                for i, prod in enumerate(level):
+                    word = word_from_index(i, k, m)
+                    assert tuple(map(tuple, prod)) == word_product(s, word)
 
 
 # --- the exact joint spectral radius --------------------------------------------
@@ -395,7 +443,7 @@ def test_jsr_witness_attains_value():
     for _ in range(30):
         s = rand_int_set(rng, rng.choice([2, 3]), rng.choice([2, 3, 5]))
         r = padic_jsr_exact(s)
-        prod = padic_eval_word(s, r.witness)
+        prod = word_product(s, r.witness)
         lam = max_root_magnitude(char_poly_exact(prod), s.prime)
         assert lam.root(len(r.witness)) == r.rho
 
@@ -413,20 +461,8 @@ def _acceptance_set(index):
 
 
 def test_jsr_witness_is_shortest_then_lexicographically_first():
-    # brute force over every word up to ell(d): the witness is the min by
-    # (length, word) among the words attaining rho.  p R + N with N strictly
-    # upper (member 0) or lower (member 1) often peaks first at length 2
-    def brute_force(s):
-        best, attained = BOTTOM, []
-        for k in range(1, ell_bound(s.dim) + 1):
-            for i, prod in enumerate(padic_product_set(s, k).members):
-                lam = max_root_magnitude(char_poly_exact(prod), s.prime).root(k)
-                if best < lam:
-                    best, attained = lam, []
-                if lam == best and not lam.is_bottom:
-                    attained.append(word_from_index(i, k, s.size))
-        return best, min(attained, key=lambda w: (len(w), w), default=(0,))
-
+    # p R + N with N strictly upper (member 0) or lower (member 1) often
+    # peaks first at length 2
     rng = random.Random(61)
     sets = [_acceptance_set(9)]
     for _ in range(10):
@@ -440,14 +476,55 @@ def test_jsr_witness_is_shortest_then_lexicographically_first():
         assert tuple(padic_jsr_exact(s)) == brute_force(s)
 
 
+def test_exact_engine_does_not_overflow():
+    # entries near 2^40, so products of length 2 already pass 2^63, well
+    # within ell(3) = 9.  p = 3, since wrapping mod 2^64 would keep 2-adic
+    # valuations.  Three sets: p R + N as in the witness test (it peaks at a
+    # fractional exponent), a triangular one that never reaches its norm and
+    # sweeps all nine levels, and a nilpotent one
+    rng = random.Random(71)
+    p, d, m = 3, 3, 2
+
+    def big():
+        return rng.choice([-1, 1]) * rng.randint(2**40, 2**41)
+
+    mixed = [[[p * big() for _ in range(d)] for _ in range(d)] for _ in range(m)]
+    for r, c in itertools.combinations(range(d), 2):
+        mixed[0][r][c] += big()
+        mixed[1][c][r] += big()
+    no_floor = [
+        [[p * big() if r == c else big() if r < c else 0 for c in range(d)] for r in range(d)]
+        for _ in range(m)
+    ]
+    nilpotent = [
+        [[big() if r < c else 0 for c in range(d)] for r in range(d)] for _ in range(m)
+    ]
+    for mats, nil in ((mixed, False), (no_floor, False), (nilpotent, True)):
+        s = intset(mats, p)
+        assert max(abs(x) for row in word_product(s, (0, 1)) for x in row) > 2**63
+        rho = brute_force(s)
+        assert tuple(padic_jsr_exact(s)) == rho
+        rep = check_ultra_boca(s)
+        words = list(itertools.product(range(m), repeat=d))
+        extremal = max(words, key=lambda w: entry_norm(word_product(s, w), p))
+        assert (rep.lhs, rep.extremal_word) == (entry_norm(word_product(s, extremal), p), extremal)
+        assert (rep.rho, rep.rho_witness) == rho
+        zero = all(entry_norm(word_product(s, w), p).is_bottom for w in words)
+        assert padic_nilpotency_exact(s) == zero == nil
+
+
 def test_jsr_stops_at_the_set_norm(monkeypatch):
     # the first member of S has a unit trace, so rho(p S) = ||p S||_0 = p^-1
     # is reached at level 1 and no product is ever built
-    calls = []
-    matmul = ultrametric._matmul_flat
-    monkeypatch.setattr(
-        ultrametric, "_matmul_flat", lambda a, b, d: calls.append(d) or matmul(a, b, d)
-    )
+    pulled = []
+    levels = ultrametric.product_levels
+
+    def spy(stack, depth):
+        for level in levels(stack, depth):
+            pulled.append(level.shape[0])
+            yield level
+
+    monkeypatch.setattr(ultrametric, "product_levels", spy)
     rng = random.Random(67)
     checked = 0
     while checked < 6:
@@ -459,7 +536,8 @@ def test_jsr_stops_at_the_set_norm(monkeypatch):
         assert padic_jsr_exact(ps) == (PAdicMagnitude(1), (0,))
         assert ultrametric_set_norm(ps) == PAdicMagnitude(1)
         checked += 1
-    assert calls == []
+    # one level per sweep: the three members themselves
+    assert pulled == [3] * 6
 
 
 def test_jsr_respects_word_cap():
@@ -517,7 +595,7 @@ def test_jsr_power_set_identity():
         s = rand_int_set(rng, 2, rng.choice([2, 3, 5]))
         k = rng.choice([2, 3])
         rho = padic_jsr_exact(s).rho
-        rho_k = padic_jsr_exact(padic_product_set(s, k)).rho
+        rho_k = padic_jsr_exact(power_set(s, k)).rho
         assert rho_k == rho**k
 
 
@@ -559,11 +637,7 @@ def test_ultra_boca_extremal_word_attains_lhs():
         rep = check_ultra_boca(s)
         assert rep.holds
         assert len(rep.extremal_word) == s.dim
-        prod = padic_eval_word(s, rep.extremal_word)
-        vals = [padic_valuation(x, s.prime) for row in prod for x in row]
-        finite = [v for v in vals if v is not None]
-        got = BOTTOM if not finite else PAdicMagnitude(min(finite))
-        assert got == rep.lhs
+        assert entry_norm(word_product(s, rep.extremal_word), s.prime) == rep.lhs
 
 
 def test_ultra_boca_rho_witness_attains_rho():
@@ -574,7 +648,7 @@ def test_ultra_boca_rho_witness_attains_rho():
         assert (rep.rho, rep.rho_witness) == padic_jsr_exact(s)
         if rep.rho.is_bottom:
             continue
-        prod = padic_eval_word(s, rep.rho_witness)
+        prod = word_product(s, rep.rho_witness)
         lam = max_root_magnitude(char_poly_exact(prod), s.prime)
         assert lam.root(len(rep.rho_witness)) == rep.rho
 
@@ -585,7 +659,7 @@ def test_ultra_boca_submultiplicative_powers():
     for _ in range(10):
         s = rand_int_set(rng, 2, rng.choice([2, 3]))
         norms = {
-            k: ultrametric_set_norm(padic_product_set(s, k)) for k in (1, 2, 3, 4)
+            k: ultrametric_set_norm(power_set(s, k)) for k in (1, 2, 3, 4)
         }
         for k, m in ((1, 1), (1, 2), (2, 2), (1, 3)):
             if norms[1].is_bottom:
