@@ -13,8 +13,7 @@ All operations here are pure; matrices are stored read-only.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -525,13 +524,69 @@ def product_levels(stack: np.ndarray, depth: int) -> Iterator[np.ndarray]:
     evaluated as ``eval_word`` does.  Each level is built from the previous
     one only when it is asked for, so a caller can check a budget before
     pulling the next level.
+
+    Row ``parent * m + i`` of level k + 1 is ``stack[i] @ level[parent]``.
+    A ``complex128`` level is built by ``_complex_children``: the parents go
+    in blocks of ``_BLOCK_ENTRIES // (m * d * d)`` rows, each block's real
+    and imaginary parts are copied into planar (j, k, parent) arrays, and
+    every entry is summed over j with one float64 operation per step, in
+    the order ``einsum("ij,njk->nik", ...)`` uses.  So its levels equal
+    einsum's bit for bit, signed zeros, infs and NaNs included, while its
+    temporaries stay a few blocks whatever the level size.  Every other
+    dtype, ``object`` included, goes through that einsum per letter.
     """
     m = stack.shape[0]
     level = stack
     for k in range(1, depth + 1):
         if k > 1:
             nxt = np.empty((level.shape[0] * m, *stack.shape[1:]), dtype=stack.dtype)
-            for i in range(m):
-                nxt[i::m] = np.einsum("ij,njk->nik", stack[i], level)
+            if stack.dtype == np.complex128:
+                _complex_children(stack, level, nxt)
+            else:
+                for i in range(m):
+                    nxt[i::m] = np.einsum("ij,njk->nik", stack[i], level)
             level = nxt
         yield level
+
+
+@np.errstate(over="ignore", invalid="ignore")  # einsum warns of neither
+def _complex_children(stack: np.ndarray, level: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[parent * m + i]`` with ``stack[i] @ level[parent]``.
+
+    Entry (i, r, k) of a parent's children is
+    ``((0 + p_0) + p_1) + ... + p_(d-1)`` with p_j = stack[i, r, j] *
+    level[parent, j, k], real part ``ar*br - ai*bi`` and imaginary part
+    ``ar*bi + ai*br``: einsum's complex sum of products, one IEEE rounding
+    per operation and no fused multiply-add.  numpy's complex ``multiply``
+    is not used: where the CPU has fused multiply-add, its products differ
+    from einsum's in the last bit.
+    """
+    m, d = stack.shape[0], stack.shape[1]
+    count = level.shape[0]
+    rows = max(1, min(count, _BLOCK_ENTRIES // (m * d * d)))
+    # [i, r, j] of the members, broadcast over the planar (k, parent) axes
+    ar = stack.real[..., np.newaxis, np.newaxis]
+    ai = stack.imag[..., np.newaxis, np.newaxis]
+    planar_r, planar_i = np.empty((2, d, d, rows))
+    sum_r, sum_i, t1, t2 = np.empty((4, m, d, d, rows))
+    for lo in range(0, count, rows):
+        n = min(rows, count - lo)
+        br, bi = planar_r[..., :n], planar_i[..., :n]
+        block = level[lo : lo + n].transpose(1, 2, 0)
+        np.copyto(br, block.real)
+        np.copyto(bi, block.imag)
+        cr, ci, u, v = sum_r[..., :n], sum_i[..., :n], t1[..., :n], t2[..., :n]
+        cr.fill(0.0)
+        ci.fill(0.0)
+        for j in range(d):
+            np.multiply(ar[:, :, j], br[j], out=u)
+            np.multiply(ai[:, :, j], bi[j], out=v)
+            np.subtract(u, v, out=u)
+            np.add(cr, u, out=cr)
+            np.multiply(ar[:, :, j], bi[j], out=u)
+            np.multiply(ai[:, :, j], br[j], out=v)
+            np.add(u, v, out=u)
+            np.add(ci, u, out=ci)
+        children = out[lo * m : (lo + n) * m].reshape(n, m, d, d)
+        np.copyto(children.real, cr.transpose(3, 0, 1, 2))
+        np.copyto(children.imag, ci.transpose(3, 0, 1, 2))

@@ -27,7 +27,6 @@ from jsrkit.core import (
     batch_operator_norms,
     eval_word,
     max_operator_norm,
-    operator_norm,
     product_levels,
     set_norm,
     spectral_radius,

@@ -1,10 +1,17 @@
+import tracemalloc
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from jsrkit import JsrConfig, jsr_estimate
 from jsrkit.core import (
+    _BLOCK_ENTRIES,
     WORD_CAP,
     BudgetExceededError,
     ComplexMatrix,
+    EigensolverError,
     MatrixSet,
     NormSpec,
     batch_operator_norms,
@@ -19,6 +26,7 @@ from jsrkit.core import (
     vector_norm,
     word_from_index,
 )
+from jsrkit.families import unipotent_pair
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -206,6 +214,104 @@ def test_product_levels_match_eval_word():
                 word = word_from_index(i, k, m)
                 assert len(word) == k
                 assert np.array_equal(level[i], eval_word(s, word))
+
+
+def einsum_levels(stack, depth):
+    """The reference: one einsum per letter, as every level was once built."""
+    m = stack.shape[0]
+    level = stack
+    for k in range(1, depth + 1):
+        if k > 1:
+            nxt = np.empty((level.shape[0] * m, *stack.shape[1:]), dtype=stack.dtype)
+            for i in range(m):
+                nxt[i::m] = np.einsum("ij,njk->nik", stack[i], level)
+            level = nxt
+        yield level
+
+
+def assert_levels_match_einsum(stack, depth):
+    """Every level equals the reference's bit for bit; returns the levels."""
+    got = list(product_levels(stack, depth))
+    ref = list(einsum_levels(stack, depth))
+    assert len(got) == len(ref) == depth
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype == np.complex128
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return got
+
+
+def deepest(m, d, entries):
+    """The largest depth, up to 20, whose last level has at most ``entries``."""
+    depth = 2
+    while depth < 20 and m ** (depth + 1) * d * d <= entries:
+        depth += 1
+    return depth
+
+
+def test_complex_levels_match_einsum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    seen = dict.fromkeys(["several blocks", "short block", "inf", "nan", "subnormal"], False)
+    for m in range(1, 6):
+        for d in range(1, 9):
+            stack = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+            stack.real[rng.random(stack.shape) < 0.2] = -0.0
+            stack.imag[rng.random(stack.shape) < 0.2] = -0.0
+            stack.flags.writeable = False  # as a MatrixSet's stack is
+            # the last parent level spans up to 4 blocks
+            depth = deepest(m, d, 4 * _BLOCK_ENTRIES)
+            rows = _BLOCK_ENTRIES // (m * d * d)
+            parents = m ** (depth - 2)
+            seen["several blocks"] |= parents > rows
+            seen["short block"] |= parents > rows and parents % rows != 0
+            assert_levels_match_einsum(stack, depth)
+            # 2^-358: length-3 products land among the subnormals
+            for scale in (2.0**300, 2.0**-400, 2.0**-358):
+                levels = assert_levels_match_einsum(stack * scale, deepest(m, d, 4096))
+                parts = np.concatenate([lv.ravel() for lv in levels]).view(np.float64)
+                seen["inf"] |= bool(np.isinf(parts).any())
+                seen["nan"] |= bool(np.isnan(parts).any())
+                tiny = np.abs(parts) < np.finfo(float).tiny
+                seen["subnormal"] |= bool((tiny & (parts != 0)).any())
+    assert all(seen.values()), seen
+
+
+def test_object_levels_match_einsum():
+    rng = np.random.default_rng(6)
+    num, den = rng.integers(-9, 10, 27), rng.integers(1, 10, 27)
+    stack = np.array([Fraction(int(a), int(b)) for a, b in zip(num, den)]).reshape(3, 3, 3)
+    stack.flags.writeable = False
+    got = list(product_levels(stack, 4))
+    for a, b in zip(got, einsum_levels(stack, 4), strict=True):
+        assert a.dtype == object and a.shape == b.shape
+        assert (a == b).all()
+
+
+def test_overflowing_levels_stay_silent():
+    s = unipotent_pair(2.0**300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        levels = list(product_levels(s.stack, 10))
+        assert not np.isfinite(levels[-1]).any()
+        # the sweep does not rescale yet, so the overflow reaches the eigensolver
+        with pytest.raises(EigensolverError, match="infs or NaNs"):
+            jsr_estimate(s, JsrConfig(depth=10))
+
+
+def test_level_temporaries_stay_a_few_blocks():
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    levels = product_levels(stack, 16)
+    for _ in range(15):
+        parent = next(levels)
+    tracemalloc.start()
+    try:
+        level = next(levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level.nbytes == 16 * 2**20 and parent.shape[0] == 2**15
+    assert peak - level.nbytes < 4 * 2**20
 
 
 def test_enumeration_budget():
