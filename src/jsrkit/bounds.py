@@ -166,10 +166,11 @@ def _sweep(
     n: NormSpec,
     word_cap: int,
     want_lower: bool,
-    want_upper: bool,
     target_width: float | None = None,
 ):
     """Breadth-first sweep computing the norm and eigenvalue sides at once."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     m, d = s.size, s.dim
     eps = np.finfo(float).eps
     best_low = 0.0
@@ -195,17 +196,14 @@ def _sweep(
         words_seen += level_count
         depth_reached = k
 
-        # without a norm side, the row-sum norm adds nothing to the shared pass
-        norms = max_operator_norm(level, n if want_upper else NormSpec.max_row_sum())
+        norms = max_operator_norm(level, n)
         row_sums = norms.row_sums
-
-        if want_upper:
-            svd_run += norms.svd_run
-            svd_skipped += norms.svd_skipped
-            lev_up = norms.value ** (1.0 / k)
-            if lev_up < best_up:
-                best_up = lev_up
-                up_depth = k
+        svd_run += norms.svd_run
+        svd_skipped += norms.svd_skipped
+        lev_up = norms.value ** (1.0 / k)
+        if lev_up < best_up:
+            best_up = lev_up
+            up_depth = k
 
         if want_lower:
             # rho(A) <= ||A|| for every operator norm, so words whose row-sum
@@ -232,7 +230,6 @@ def _sweep(
         if (
             target_width is not None
             and want_lower
-            and want_upper
             and math.isfinite(best_up)
             and best_up - best_low <= target_width * best_up
         ):
@@ -271,10 +268,9 @@ def lower_bound(
     one part in 1e12, to absorb eigensolver roundoff) go to the shortest
     word and then to the lexicographically first one.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     check_budget(s.size, depth, word_cap, f"lower_bound to depth {depth}")
-    low, witness, _, _, _ = _sweep(s, depth, SPECTRAL, word_cap, True, False)
+    # the row-sum norm costs nothing beyond the row sums the skip needs
+    low, witness, _, _, _ = _sweep(s, depth, NormSpec.max_row_sum(), word_cap, True)
     return LowerBound(low, witness)
 
 
@@ -286,10 +282,8 @@ def upper_bound(
     word_cap: int = WORD_CAP,
 ) -> float:
     """min over 1 <= k <= depth of ||S^k||_n^(1/k); a floating-point upper bound."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     check_budget(s.size, depth, word_cap, f"upper_bound to depth {depth}")
-    _, _, up, _, _ = _sweep(s, depth, n, word_cap, False, True)
+    _, _, up, _, _ = _sweep(s, depth, n, word_cap, False)
     return up
 
 
@@ -308,7 +302,6 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
         config.depth,
         config.norm,
         config.word_cap,
-        True,
         True,
         config.target_width,
     )

@@ -1,8 +1,11 @@
 """Command-line interface: estimate, certify, padic, examples.
 
-Reports go to standard output as structured JSON records, diagnostics to
-standard error.  Exit codes: 0 ok/CONFIRMED, 1 usage or parse error,
-2 INCONCLUSIVE, 3 REFUTED, 4 budget exceeded.
+estimate, certify and padic take one or more inputs and write one JSON
+report per input to standard output, in input order; notes go to standard
+error.  The exit code is the worst over all inputs: 0 ok/CONFIRMED, 1 usage
+or parse error, 2 INCONCLUSIVE, 3 REFUTED, 4 budget exceeded.  A failing
+input ends the batch after the reports before it, and no CSV is written.
+--depth must be at least 1.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .bounds import JsrConfig, barabanov_approx, conjugation_search, jsr_estimate
@@ -74,9 +78,9 @@ def _interval_record(iv) -> dict:
         "lower": iv.lower,
         "upper": iv.upper,
         "width": iv.width,
-        "lower_witness": list(iv.lower_witness),
+        "lower_witness": iv.lower_witness,
         "upper_depth": iv.upper_depth,
-        "diagnostics": _sanitize(iv.diagnostics),
+        "diagnostics": iv.diagnostics,
     }
 
 
@@ -87,8 +91,8 @@ def _theorem_record(rep) -> dict:
         "lhs": rep.lhs,
         "rhs_at_lower": rep.rhs_at_lower,
         "rhs_at_upper": rep.rhs_at_upper,
-        "witnesses": _sanitize(rep.witnesses),
-        "budget": _sanitize(rep.budget),
+        "witnesses": rep.witnesses,
+        "budget": rep.budget,
     }
 
 
@@ -116,50 +120,70 @@ def _load_document(path: str) -> InputDocument:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _emit_report(report: RunReport):
-    sys.stdout.write(report.emit())
-    sys.stdout.flush()
-
-
 def _note(quiet: bool, message: str):
     if not quiet:
         print(message, file=sys.stderr)
 
 
-def _write_csv(path: str, header: list, rows: list):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+class _Outcome(NamedTuple):
+    """One input's results, stderr notes, CSV cells and exit code."""
+
+    results: dict
+    notes: list
+    row: list
+    code: int
 
 
-def _make_report(command: str, doc: InputDocument, config: dict, seed, results: dict, t0: float) -> RunReport:
-    return RunReport(
-        tool="jsrkit",
-        version=__version__,
-        command=command,
-        input_digest=doc.digest(),
-        config=_sanitize(config),
-        seed=seed,
-        results=_sanitize(results),
-        wall_time_s=time.perf_counter() - t0,
-    )
+def _run(args, command: str, config: dict, columns: list, one) -> int:
+    """Run ``one`` on each input in order and report it.
+
+    Each input gets its JSON report on stdout before the next one starts,
+    and its notes on stderr.  The exit code is the worst over all inputs.
+    An error ends the batch: the reports before it stand, no CSV is written.
+    """
+    config = _sanitize(config)
+    worst = EXIT_OK
+    rows = []
+    for path in args.inputs:
+        t0 = time.perf_counter()
+        doc = _load_document(path)
+        out = one(doc)
+        report = RunReport(
+            tool="jsrkit",
+            version=__version__,
+            command=command,
+            input_digest=doc.digest(),
+            config=config,
+            seed=args.seed,
+            results=_sanitize(out.results),
+            wall_time_s=time.perf_counter() - t0,
+        )
+        sys.stdout.write(report.emit())
+        sys.stdout.flush()
+        for note in out.notes:
+            _note(args.quiet, f"{path}: {note}")
+        worst = max(worst, out.code)
+        rows.append([path, report.input_digest, *out.row, f"{report.wall_time_s:.6f}"])
+    if args.csv:
+        with open(args.csv, "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f)
+            w.writerow(["input", "digest", *columns, "wall_time_s"])
+            w.writerows(rows)
+    return worst
 
 
 # --- estimate ------------------------------------------------------------------
 
 
 def cmd_estimate(args) -> int:
-    rows = []
-    for path in args.inputs:
-        t0 = time.perf_counter()
-        doc = _load_document(path)
+    jsr_config = JsrConfig(depth=args.depth, norm=_NORMS[args.norm](), word_cap=args.cap)
+
+    def one(doc):
         s = doc.to_matrix_set()
-        config = JsrConfig(depth=args.depth, norm=_NORMS[args.norm](), word_cap=args.cap)
-        interval = jsr_estimate(s, config)
+        interval = jsr_estimate(s, jsr_config)
         results = {"interval": _interval_record(interval)}
         if args.conjugation:
-            conj = conjugation_search(s, norm=config.norm)
+            conj = conjugation_search(s, norm=jsr_config.norm)
             results["conjugation"] = {
                 "value": conj.value,
                 "g": _complex_rows(conj.g.entries),
@@ -181,73 +205,45 @@ def cmd_estimate(args) -> int:
                 }
             else:
                 results["barabanov"] = None  # zero set: no norm to scale
-        report = _make_report(
-            "estimate",
-            doc,
-            {
-                "depth": args.depth,
-                "norm": args.norm,
-                "cap": args.cap,
-                "conjugation": args.conjugation,
-                "barabanov": args.barabanov,
-            },
-            args.seed,
-            results,
-            t0,
-        )
-        _emit_report(report)
-        _note(
-            args.quiet,
-            f"{path}: interval [{interval.lower:.12g}, {interval.upper:.12g}]"
-            f" width {interval.width:.3g}",
-        )
+        notes = [
+            f"interval [{interval.lower:.12g}, {interval.upper:.12g}]"
+            f" width {interval.width:.3g}"
+        ]
         if interval.diagnostics.get("budget_exhausted"):
-            _note(
-                args.quiet,
-                f"{path}: word budget hit before depth {args.depth};"
-                " the interval is valid but wider (raise --cap to tighten)",
+            notes.append(
+                f"word budget hit before depth {args.depth};"
+                " the interval is valid but wider (raise --cap to tighten)"
             )
-        rows.append(
-            [
-                path,
-                report.input_digest,
-                s.dim,
-                s.size,
-                interval.lower,
-                interval.upper,
-                interval.width,
-                f"{report.wall_time_s:.6f}",
-            ]
-        )
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["input", "digest", "dim", "size", "lower", "upper", "width", "wall_time_s"],
-            rows,
-        )
-    return EXIT_OK
+        row = [s.dim, s.size, interval.lower, interval.upper, interval.width]
+        return _Outcome(results, notes, row, EXIT_OK)
+
+    config = {
+        "depth": args.depth,
+        "norm": args.norm,
+        "cap": args.cap,
+        "conjugation": args.conjugation,
+        "barabanov": args.barabanov,
+    }
+    return _run(args, "estimate", config, ["dim", "size", "lower", "upper", "width"], one)
 
 
 # --- certify -------------------------------------------------------------------
 
 
 def cmd_certify(args) -> int:
-    worst = EXIT_OK
-    rows = []
-    for path in args.inputs:
-        t0 = time.perf_counter()
-        doc = _load_document(path)
+    jsr_config = JsrConfig(depth=args.depth, norm=_NORMS[args.norm](), word_cap=args.cap)
+
+    def one(doc):
         s = doc.to_matrix_set()
-        norm = _NORMS[args.norm]()
-        interval = jsr_estimate(
-            s, JsrConfig(depth=args.depth, norm=norm, word_cap=args.cap)
-        )
+        interval = jsr_estimate(s, jsr_config)
         results = {"interval": _interval_record(interval)}
         if args.theorem == "polbd":
             rep = check_polbd(s, interval, word_cap=args.cap)
         elif args.theorem == "boca":
-            rep = check_boca_new(s, norm, interval, word_cap=args.cap)
+            rep = check_boca_new(s, jsr_config.norm, interval, word_cap=args.cap)
         else:  # bgel needs the radius moved onto 1
+            if not math.isfinite(interval.upper):  # the cap admitted no level
+                raise BudgetExceededError(s.size, args.cap, "upper bound at depth 1")
             if interval.upper <= 0:
                 raise ValueError(
                     "the zero set cannot be rescaled to radius one for this check"
@@ -263,62 +259,27 @@ def cmd_certify(args) -> int:
             )
             results["rescaled_by"] = factor
         results["report"] = _theorem_record(rep)
-        report = _make_report(
-            "certify",
-            doc,
-            {
-                "theorem": args.theorem,
-                "depth": args.depth,
-                "norm": args.norm,
-                "eps": args.eps,
-                "cap": args.cap,
-            },
-            args.seed,
-            results,
-            t0,
+        row = [args.theorem, rep.verdict.name, rep.lhs, rep.rhs_at_lower, rep.rhs_at_upper]
+        return _Outcome(
+            results, [f"{args.theorem} {rep.verdict.name}"], row, _VERDICT_EXIT[rep.verdict]
         )
-        _emit_report(report)
-        _note(args.quiet, f"{path}: {args.theorem} {rep.verdict.name}")
-        worst = max(worst, _VERDICT_EXIT[rep.verdict])
-        rows.append(
-            [
-                path,
-                report.input_digest,
-                args.theorem,
-                rep.verdict.name,
-                rep.lhs,
-                rep.rhs_at_lower,
-                rep.rhs_at_upper,
-                f"{report.wall_time_s:.6f}",
-            ]
-        )
-    if args.csv:
-        _write_csv(
-            args.csv,
-            [
-                "input",
-                "digest",
-                "theorem",
-                "verdict",
-                "lhs",
-                "rhs_at_lower",
-                "rhs_at_upper",
-                "wall_time_s",
-            ],
-            rows,
-        )
-    return worst
+
+    config = {
+        "theorem": args.theorem,
+        "depth": args.depth,
+        "norm": args.norm,
+        "eps": args.eps,
+        "cap": args.cap,
+    }
+    columns = ["theorem", "verdict", "lhs", "rhs_at_lower", "rhs_at_upper"]
+    return _run(args, "certify", config, columns, one)
 
 
 # --- padic ---------------------------------------------------------------------
 
 
 def cmd_padic(args) -> int:
-    worst = EXIT_OK
-    rows = []
-    for path in args.inputs:
-        t0 = time.perf_counter()
-        doc = _load_document(path)
+    def one(doc):
         ps = doc.to_padic_set()
         if args.prime is not None:
             ps = PAdicMatrixSet.from_rows(
@@ -326,54 +287,29 @@ def cmd_padic(args) -> int:
             )
         boca = check_ultra_boca(ps, word_cap=args.cap)
         nilpotent = padic_nilpotency_exact(ps)
+        bottom = boca.rho.is_bottom
         results = {
             "prime": ps.prime,
             "rho_exponent": _magnitude_record(boca.rho),
-            "rho_is_zero": boca.rho.is_bottom,
-            "witness": list(boca.rho_witness),
+            "rho_is_zero": bottom,
+            "witness": boca.rho_witness,
             "power_inequality": {
                 "holds": boca.holds,
                 "lhs_exponent": _magnitude_record(boca.lhs),
                 "rhs_exponent": _magnitude_record(boca.rhs),
-                "extremal_word": list(boca.extremal_word),
+                "extremal_word": boca.extremal_word,
             },
             "nilpotent": nilpotent,
         }
-        report = _make_report(
-            "padic",
-            doc,
-            {"cap": args.cap, "prime_override": args.prime},
-            args.seed,
-            results,
-            t0,
-        )
-        _emit_report(report)
-        rho_repr = (
-            "0"
-            if boca.rho.is_bottom
-            else f"{ps.prime}^({-boca.rho.exponent})"
-        )
-        _note(args.quiet, f"{path}: rho = {rho_repr}, nilpotent = {nilpotent}")
-        if not boca.holds:
-            worst = max(worst, EXIT_REFUTED)  # would contradict a proven bound
-        rows.append(
-            [
-                path,
-                report.input_digest,
-                ps.prime,
-                "bottom" if boca.rho.is_bottom else str(boca.rho.exponent),
-                nilpotent,
-                boca.holds,
-                f"{report.wall_time_s:.6f}",
-            ]
-        )
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["input", "digest", "prime", "rho_exponent", "nilpotent", "power_holds", "wall_time_s"],
-            rows,
-        )
-    return worst
+        rho_repr = "0" if bottom else f"{ps.prime}^({-boca.rho.exponent})"
+        row = [ps.prime, "bottom" if bottom else str(boca.rho.exponent), nilpotent, boca.holds]
+        # a failed power inequality would contradict a proven bound
+        code = EXIT_OK if boca.holds else EXIT_REFUTED
+        return _Outcome(results, [f"rho = {rho_repr}, nilpotent = {nilpotent}"], row, code)
+
+    config = {"cap": args.cap, "prime_override": args.prime}
+    columns = ["prime", "rho_exponent", "nilpotent", "power_holds"]
+    return _run(args, "padic", config, columns, one)
 
 
 # --- examples ------------------------------------------------------------------

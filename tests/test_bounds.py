@@ -155,6 +155,17 @@ def test_estimate_early_stop():
     assert iv.diagnostics["depth_reached"] < 50
 
 
+def test_every_sweep_rejects_depth_below_one():
+    s = unipotent_pair()
+    for depth in (0, -2):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            jsr_estimate(s, JsrConfig(depth=depth))
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        lower_bound(s, 0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        upper_bound(s, 0)
+
+
 def test_estimate_counts_svds():
     rng = np.random.default_rng(23)
     s = MatrixSet.from_arrays(list(rng.standard_normal((2, 3, 3))))

@@ -250,6 +250,53 @@ def test_certify_inconclusive_exit_code(tmp_path, capsys):
     assert reports(out)[0]["results"]["report"]["verdict"] == "INCONCLUSIVE"
 
 
+def test_certify_bgel_without_a_level_is_a_budget_error(tmp_path, capsys):
+    spec = build_family("unipotent-pair")
+    path = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    for theorem in ("polbd", "boca", "bgel"):
+        code, out, err = run(capsys, "certify", path, "--theorem", theorem, "--cap", "1")
+        assert code == 4, theorem
+        assert out == "" and "budget exceeded" in err
+
+
+def test_certify_exit_code_is_the_worst_over_inputs(tmp_path, capsys):
+    ident = write_doc(
+        tmp_path, "i.json",
+        InputDocument.from_matrix_set(MatrixSet.from_arrays([np.eye(2, dtype=complex)])),
+    )
+    spec = build_family("unipotent-pair")
+    pair = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    for paths in ([ident, pair], [pair, ident]):
+        code, out, _ = run(
+            capsys, "certify", *paths, "--theorem", "bgel", "--depth", "2", "--quiet"
+        )
+        assert code == 2
+        assert len(reports(out)) == 2
+
+
+def test_certify_csv_has_one_row_per_input_in_order(tmp_path, capsys):
+    paths = [
+        write_doc(tmp_path, f"{name}.json",
+                  InputDocument.from_matrix_set(build_family(name).matrices))
+        for name in ("unipotent-pair", "elementary")
+    ]
+    csv_path = tmp_path / "c.csv"
+    code, out, _ = run(
+        capsys, "certify", *paths, "--theorem", "boca", "--quiet", "--csv", str(csv_path)
+    )
+    assert code == 0
+    reps = reports(out)
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == (
+        "input,digest,theorem,verdict,lhs,rhs_at_lower,rhs_at_upper,wall_time_s"
+    )
+    assert len(lines) == 3
+    for line, path, rep in zip(lines[1:], paths, reps):
+        cells = line.split(",")
+        assert cells[:4] == [path, rep["input_digest"], "boca", "CONFIRMED"]
+        assert float(cells[4]) == rep["results"]["report"]["lhs"]
+
+
 def test_verdict_exit_mapping_is_total():
     assert _VERDICT_EXIT[Verdict.CONFIRMED] == 0
     assert _VERDICT_EXIT[Verdict.INCONCLUSIVE] == 2
@@ -354,6 +401,24 @@ def test_padic_budget_exit(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_padic_csv_has_one_row_per_input_in_order(tmp_path, capsys):
+    paths = []
+    for name, members in (("five", [[["5"]]]), ("nil", [[["0", "1"], ["0", "0"]]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(padic_doc(members, 5))
+        paths.append(str(path))
+    csv_path = tmp_path / "p.csv"
+    code, out, _ = run(capsys, "padic", *paths, "--quiet", "--csv", str(csv_path))
+    assert code == 0
+    reps = reports(out)
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "input,digest,prime,rho_exponent,nilpotent,power_holds,wall_time_s"
+    assert [line.split(",")[:6] for line in lines[1:]] == [
+        [paths[0], reps[0]["input_digest"], "5", "1", "False", "True"],
+        [paths[1], reps[1]["input_digest"], "5", "bottom", "True", "True"],
+    ]
+
+
 # --- error paths and determinism ---------------------------------------------------
 
 
@@ -369,6 +434,33 @@ def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "estimate", "/nonexistent/input.json")
     assert code == 1
     assert "input.json" in err
+
+
+def test_failing_input_ends_the_batch_without_csv(tmp_path, capsys):
+    spec = build_family("shift", dim=2)
+    good = write_doc(tmp_path, "s.json", InputDocument.from_matrix_set(spec.matrices))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format": 1')
+    csv_path = tmp_path / "summary.csv"
+    code, out, err = run(
+        capsys, "estimate", good, str(bad), "--depth", "3", "--quiet", "--csv", str(csv_path)
+    )
+    assert code == 1
+    assert "parse error" in err
+    assert len(reports(out)) == 1
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "certify"])
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_depth_below_one_is_a_usage_error(tmp_path, capsys, command, depth):
+    spec = build_family("unipotent-pair")
+    path = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    extra = ["--theorem", "polbd"] if command == "certify" else []
+    code, out, err = run(capsys, command, path, *extra, "--depth", depth)
+    assert code == 1
+    assert out == ""
+    assert "depth must be >= 1" in err
 
 
 def test_wrong_field_for_command_exit(tmp_path, capsys):
