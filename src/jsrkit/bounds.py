@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +35,6 @@ from jsrkit.core import (
     SPECTRAL,
     TOL_REL,
     WORD_CAP,
-    BudgetExceededError,
     ComplexMatrix,
     JsrError,
     MatrixSet,
@@ -44,7 +43,6 @@ from jsrkit.core import (
     batch_operator_norms,
     batch_spectral_radii,
     check_budget,
-    count_words,
     max_operator_norm,
     product_levels,
     word_from_index,
@@ -160,15 +158,18 @@ class JsrConfig:
     target_width: float | None = None
 
 
-def _sweep(
-    s: MatrixSet,
-    depth: int,
-    n: NormSpec,
-    word_cap: int,
-    want_lower: bool,
-    target_width: float | None = None,
-):
-    """Breadth-first sweep computing the norm and eigenvalue sides at once."""
+def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
+    """Both sandwich bounds in one breadth-first sweep that visits every word.
+
+    The running lower bound skips eigensolves, and each level's norm
+    brackets skip singular value decompositions, only where they cannot
+    change the result.  The lower end, its witness and ``eig_skipped`` do
+    not depend on ``config.norm``; ``lower_bound`` and ``upper_bound`` are
+    the two ends of this interval under a strict budget.  On budget
+    exhaustion the deepest completed level determines a (wider) valid
+    interval, flagged in the diagnostics rather than raised.
+    """
+    depth = config.depth
     if depth < 1:
         raise ValueError("depth must be >= 1")
     m, d = s.size, s.dim
@@ -189,15 +190,14 @@ def _sweep(
     levels = product_levels(s.stack, depth)
     for k in range(1, depth + 1):
         level_count = m**k
-        if words_seen + level_count > word_cap:
+        if words_seen + level_count > config.word_cap:
             budget_hit = True
             break
         level = next(levels)
         words_seen += level_count
         depth_reached = k
 
-        norms = max_operator_norm(level, n)
-        row_sums = norms.row_sums
+        norms = max_operator_norm(level, config.norm)
         svd_run += norms.svd_run
         svd_skipped += norms.svd_skipped
         lev_up = norms.value ** (1.0 / k)
@@ -205,44 +205,41 @@ def _sweep(
             best_up = lev_up
             up_depth = k
 
-        if want_lower:
-            # rho(A) <= ||A|| for every operator norm, so words whose row-sum
-            # bound cannot reach the running maximum are skipped outright.
-            # The guard factor keeps ties eligible so the reported witness is
-            # identical to the exhaustive computation.
-            cutoff = best_low * (1 - 1e-12)
-            mask = row_sums ** (1.0 / k) >= cutoff
-            eig_skipped += int(level_count - mask.sum())
-            radii = np.zeros(level_count)
-            if mask.any():
-                radii[mask] = batch_spectral_radii(level[mask])
-            radii[radii <= _EIG_NOISE_FACTOR * d * eps * norms.scale] = 0.0
-            vals = radii ** (1.0 / k)
-            lev_best = float(vals.max()) if level_count else 0.0
-            if lev_best > best_low:
-                best_low = lev_best
-                cut = best_low * (1 - 1e-12)
-                candidates = [c for c in candidates if c[2] >= cut]
-            hits = np.nonzero(vals >= best_low * (1 - 1e-12))[0]
-            for idx in hits[:1024]:
-                candidates.append((k, int(idx), float(vals[idx])))
+        # rho(A) <= ||A|| for every operator norm, so words whose row-sum
+        # bound cannot reach the running maximum are skipped outright.
+        # The guard factor keeps ties eligible so the reported witness is
+        # identical to the exhaustive computation.
+        cutoff = best_low * (1 - 1e-12)
+        mask = norms.row_sums ** (1.0 / k) >= cutoff
+        eig_skipped += int(level_count - mask.sum())
+        radii = np.zeros(level_count)
+        if mask.any():
+            radii[mask] = batch_spectral_radii(level[mask])
+        radii[radii <= _EIG_NOISE_FACTOR * d * eps * norms.scale] = 0.0
+        vals = radii ** (1.0 / k)
+        lev_best = float(vals.max())
+        if lev_best > best_low:
+            best_low = lev_best
+            cut = best_low * (1 - 1e-12)
+            candidates = [c for c in candidates if c[2] >= cut]
+        hits = np.nonzero(vals >= best_low * (1 - 1e-12))[0]
+        for idx in hits[:1024]:
+            candidates.append((k, int(idx), float(vals[idx])))
 
         if (
-            target_width is not None
-            and want_lower
+            config.target_width is not None
             and math.isfinite(best_up)
-            and best_up - best_low <= target_width * best_up
+            and best_up - best_low <= config.target_width * best_up
         ):
             early_stop = True
             break
 
     witness: Word = ()
-    if want_lower:
-        final_cut = best_low * (1 - 1e-12)
-        for k, idx, val in candidates:
-            if val >= final_cut:
-                witness = word_from_index(idx, k, m)
-                break
+    final_cut = best_low * (1 - 1e-12)
+    for k, idx, val in candidates:
+        if val >= final_cut:
+            witness = word_from_index(idx, k, m)
+            break
 
     diagnostics = {
         "depth_reached": float(depth_reached),
@@ -253,7 +250,7 @@ def _sweep(
         "budget_exhausted": 1.0 if budget_hit else 0.0,
         "early_stop_width": 1.0 if early_stop else 0.0,
     }
-    return best_low, witness, best_up, up_depth, diagnostics
+    return JsrInterval(best_low, best_up, witness, up_depth, diagnostics)
 
 
 def lower_bound(
@@ -266,12 +263,14 @@ def lower_bound(
 
     Returns the value together with an argmax witness word.  Ties (within
     one part in 1e12, to absorb eigensolver roundoff) go to the shortest
-    word and then to the lexicographically first one.
+    word and then to the lexicographically first one.  This is the lower
+    end of ``jsr_estimate`` under a strict budget: a depth the word cap
+    cannot reach raises instead of returning a partial result.
     """
     check_budget(s.size, depth, word_cap, f"lower_bound to depth {depth}")
-    # the row-sum norm costs nothing beyond the row sums the skip needs
-    low, witness, _, _, _ = _sweep(s, depth, NormSpec.max_row_sum(), word_cap, True)
-    return LowerBound(low, witness)
+    # the lower end does not depend on the norm; the row-sum one is the cheapest
+    iv = jsr_estimate(s, JsrConfig(depth, NormSpec.max_row_sum(), word_cap))
+    return LowerBound(iv.lower, iv.lower_witness)
 
 
 def upper_bound(
@@ -281,31 +280,14 @@ def upper_bound(
     *,
     word_cap: int = WORD_CAP,
 ) -> float:
-    """min over 1 <= k <= depth of ||S^k||_n^(1/k); a floating-point upper bound."""
-    check_budget(s.size, depth, word_cap, f"upper_bound to depth {depth}")
-    _, _, up, _, _ = _sweep(s, depth, n, word_cap, False)
-    return up
+    """min over 1 <= k <= depth of ||S^k||_n^(1/k); a floating-point upper bound.
 
-
-def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
-    """Both sandwich bounds in a single sweep that visits every word.
-
-    The running lower bound skips eigensolves, and each level's norm
-    brackets skip singular value decompositions, only where they cannot
-    change the result.  So the returned interval is identical to running
-    ``lower_bound`` and ``upper_bound`` separately at the same depth.  On
-    budget exhaustion the deepest completed level determines a (wider)
-    valid interval, flagged in the diagnostics rather than raised.
+    This is the upper end of ``jsr_estimate`` under a strict budget: a
+    depth the word cap cannot reach raises instead of returning a partial
+    result.
     """
-    low, witness, up, up_depth, diag = _sweep(
-        s,
-        config.depth,
-        config.norm,
-        config.word_cap,
-        True,
-        config.target_width,
-    )
-    return JsrInterval(low, up, witness, up_depth, diag)
+    check_budget(s.size, depth, word_cap, f"upper_bound to depth {depth}")
+    return jsr_estimate(s, JsrConfig(depth, n, word_cap)).upper
 
 
 # --- conjugation search ------------------------------------------------------
@@ -504,6 +486,8 @@ def barabanov_approx(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     check_budget(s.size, depth, word_cap, f"barabanov_approx to depth {depth}")
+    if not math.isfinite(rho_hat):
+        raise ValueError(f"rho_hat must be finite, got {rho_hat}")
     d = s.dim
     matrices = np.concatenate(
         [np.eye(d, dtype=np.complex128)[np.newaxis]]
@@ -527,7 +511,7 @@ def barabanov_approx(
         worst = max(worst, float((imgs / (rho_hat * base)).max()))
     slack = worst - 1.0
 
-    pn = PolytopeNorm(
+    return PolytopeNorm(
         rho_hat=rho_hat,
         depth=depth,
         matrices=matrices,
@@ -535,12 +519,6 @@ def barabanov_approx(
         sample_size=sample_size,
         seed=seed,
     )
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        if pn.evaluate(e) <= 0:
-            raise ValueError("polytope norm degenerate: stored products do not span")
-    return pn
 
 
 # --- nilpotency of the generated algebra -------------------------------------

@@ -21,12 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import (
-    JsrInterval,
-    PolytopeNorm,
-    jsr_estimate,
-    lower_bound,
-)
+from .bounds import JsrConfig, JsrInterval, jsr_estimate, lower_bound
 from .core import (
     SPECTRAL,
     TOL_REL,
@@ -42,7 +37,6 @@ from .core import (
     batch_operator_norms,
     batch_spectral_radii,
     check_budget,
-    count_words,
     eval_word,
     max_operator_norm,
     operator_norm,
@@ -312,12 +306,6 @@ class ReturnSearchResult(NamedTuple):
     diagnostics: dict
 
 
-def _working_norm(norm, v: np.ndarray) -> float:
-    if isinstance(norm, PolytopeNorm):
-        return float(norm.evaluate(v))
-    return vector_norm(v, norm)
-
-
 def _closest_pairs(points: np.ndarray, k_best: int) -> list[tuple[float, int, int]]:
     """The k_best most aligned index pairs (i < j), scored by 1 - |<xi,xj>|^2.
 
@@ -352,7 +340,7 @@ def _hashed_pairs(
 
 def trajectory_return_search(
     s: MatrixSet,
-    norm=SPECTRAL,
+    norm: NormSpec = SPECTRAL,
     maxlen: int = 256,
     x0=None,
     seed: int = 0,
@@ -371,8 +359,8 @@ def trajectory_return_search(
     certificate over the k_best most aligned return pairs is returned,
     ties going to the shorter word.
 
-    ``norm`` is the working norm steering the greedy choice (a NormSpec or
-    an adapted PolytopeNorm); the caller should rescale ``s`` so its joint
+    ``norm`` is the NormSpec whose vector norm steers the greedy choice
+    (the working norm); the caller should rescale ``s`` so its joint
     spectral radius is near 1, since a trajectory whose working norm decays
     below 1/2 is abandoned and restarted from a fresh random direction (at
     most ``max_restarts`` times).  Certificates themselves are always in
@@ -404,9 +392,9 @@ def trajectory_return_search(
     restarts = 0
     while steps < maxlen:
         images = s.stack @ x
-        wvals = np.array([_working_norm(norm, images[i]) for i in range(s.size)])
+        wvals = np.array([vector_norm(images[i], norm) for i in range(s.size)])
         best = int(np.argmax(wvals))
-        wx = _working_norm(norm, x)
+        wx = vector_norm(x, norm)
         if wvals[best] <= 0.0 or wx <= 0.0:
             wscale = 0.0  # dead end; force a restart
         else:
@@ -529,13 +517,6 @@ class TheoremReport:
     budget: dict = field(default_factory=dict)
 
 
-def _clamped_depth(size: int, depth_full: int, word_cap: int) -> int:
-    depth = 0
-    while depth < depth_full and count_words(size, depth + 1) <= word_cap:
-        depth += 1
-    return depth
-
-
 def check_polbd(
     s: MatrixSet,
     interval: JsrInterval,
@@ -544,32 +525,33 @@ def check_polbd(
 ) -> TheoremReport:
     """Check max_{k <= 2d^3} rho(eval(w))^(1/|w|) >= jsr(S) / (2^8 d^5).
 
-    The peak is taken over all words up to depth 2d^3 (clamped to the word
-    budget, with a flag); a clamped run can only confirm or abstain, never
+    The peak is taken over all words up to depth 2d^3, clamped by the
+    sweep's budget rule to the deepest k with ``count_words(m, k) <=
+    word_cap`` (flagged); a clamped run can only confirm or abstain, never
     refute, since deeper words could still raise the left-hand side.
     """
     d = s.dim
     depth_full = 2 * d**3
-    depth = _clamped_depth(s.size, depth_full, word_cap)
+    peak = jsr_estimate(s, JsrConfig(depth_full, NormSpec.max_row_sum(), word_cap))
+    depth = int(peak.diagnostics["depth_reached"])
     if depth < 1:
         raise BudgetExceededError(s.size, word_cap, "peak radius at depth 1")
     clamped = depth < depth_full
-    low = lower_bound(s, depth, word_cap=word_cap)
     c = 1.0 / (2**8 * d**5)
     rhs_lo, rhs_up = c * interval.lower, c * interval.upper
-    if low.value >= rhs_up:
+    if peak.lower >= rhs_up:
         verdict = Verdict.CONFIRMED
-    elif not clamped and low.value < rhs_lo * (1.0 - TOL_REL):
+    elif not clamped and peak.lower < rhs_lo * (1.0 - TOL_REL):
         verdict = Verdict.REFUTED
     else:
         verdict = Verdict.INCONCLUSIVE
     return TheoremReport(
         "POLBD",
-        low.value,
+        peak.lower,
         rhs_lo,
         rhs_up,
         verdict,
-        witnesses={"word": low.witness},
+        witnesses={"word": peak.lower_witness},
         budget={"depth": depth, "depth_full": depth_full, "clamped": clamped},
     )
 
@@ -652,9 +634,7 @@ def check_bg_el(
     else:
         budget_len = maxlen
         honored = False
-    word, cert, diag = trajectory_return_search(
-        s, SPECTRAL, budget_len, seed=seed, max_restarts=8
-    )
+    word, cert, diag = trajectory_return_search(s, SPECTRAL, budget_len, seed=seed)
     lhs = spectral_radius(eval_word(s, word))
     k = len(word)
     rhs_lo = (1.0 - eps) * interval.lower**k

@@ -121,13 +121,41 @@ def test_estimate_collapses_for_nilpotent_set():
     assert iv.upper_depth == 2
 
 
+def gaussian_set(m, d, seed):
+    rng = np.random.default_rng(seed)
+    return MatrixSet.from_arrays(
+        list(rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d)))
+    )
+
+
 def test_estimate_matches_separate_bounds():
-    s = unipotent_pair()
-    iv = jsr_estimate(s, JsrConfig(depth=6))
-    assert iv.lower == lower_bound(s, 6).value
-    assert iv.upper == upper_bound(s, 6)
-    assert iv.lower_witness == lower_bound(s, 6).witness
-    assert iv.lower <= iv.upper * (1 + 1e-9)
+    sets = [
+        unipotent_pair(),
+        swap_pair(),
+        MatrixSet.from_arrays([np.eye(2)]),
+        MatrixSet.from_arrays([elem(0, 1, 2)]),
+        unitary_mix(2, count=3),
+        gaussian_set(2, 3, seed=11),
+        gaussian_set(3, 2, seed=12),
+    ]
+    depth = 6
+    for s in sets:
+        g = np.triu(np.ones((s.dim, s.dim))) + np.eye(s.dim)
+        norms = [
+            SPECTRAL,
+            NormSpec.max_row_sum(),
+            NormSpec.max_col_sum(),
+            NormSpec.ellipsoidal(g),
+        ]
+        low = lower_bound(s, depth)
+        ivs = [jsr_estimate(s, JsrConfig(depth=depth, norm=n)) for n in norms]
+        # the lower end is the norm-independent half of the one sweep
+        for n, iv in zip(norms, ivs):
+            assert iv.lower == low.value
+            assert iv.lower_witness == low.witness
+            assert iv.diagnostics["eig_skipped"] == ivs[0].diagnostics["eig_skipped"]
+            assert iv.upper == upper_bound(s, depth, n)
+            assert iv.lower <= iv.upper * (1 + 1e-9)
 
 
 def test_estimate_scaling_equivariance():
@@ -369,6 +397,13 @@ def test_barabanov_unipotent_slack_shrinks():
 def test_barabanov_rejects_bad_rho():
     with pytest.raises(ValueError):
         barabanov_approx(unipotent_pair(), 0.0, 2)
+    # an unbounded or undefined rho_hat would give a meaningless slack
+    for rho_hat in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            barabanov_approx(unipotent_pair(), rho_hat, 2)
+        # the budget is checked first, as on a run whose cap admits no level
+        with pytest.raises(BudgetExceededError):
+            barabanov_approx(unipotent_pair(), rho_hat, 2, word_cap=1)
 
 
 # --- nilpotency_test ---------------------------------------------------------

@@ -23,6 +23,7 @@ from jsrkit.core import (
     BudgetExceededError,
     MatrixSet,
     NormSpec,
+    count_words,
     eval_word,
     spectral_radius,
     vector_norm,
@@ -235,6 +236,16 @@ def test_trajectory_basis_cycle_d3():
     assert spectral_radius(eval_word(s, word)) == pytest.approx(1.0)
 
 
+def test_trajectory_working_norm_steers_greedy_choice():
+    # from e1, member 0 keeps e1 (both norms 1) and member 1 maps it to
+    # (0.8, 0.8): Euclidean norm 1.13 but sup norm 0.8
+    s = MatrixSet.from_arrays([[[1, 0], [0, 0]], [[0.8, 0.8], [0.8, 0.8]]])
+    euclid, _, _ = trajectory_return_search(s, SPECTRAL, 6, x0=[1.0, 0.0])
+    sup, _, _ = trajectory_return_search(s, NormSpec.max_row_sum(), 6, x0=[1.0, 0.0])
+    assert euclid == (1,)
+    assert sup == (0,)
+
+
 def test_trajectory_rescaled_unipotent_pair():
     s = unipotent_pair(1 / PHI)
     word, cert, _ = trajectory_return_search(s, SPECTRAL, 64, seed=0)
@@ -312,10 +323,30 @@ def test_check_polbd_swap_pair():
 
 
 def test_check_polbd_clamped_never_refutes():
-    s = MatrixSet.from_arrays([elem(0, 1, 2), elem(1, 0, 2)])
-    rep = check_polbd(s, jsr_estimate(s, JsrConfig(depth=8)), word_cap=10)
-    assert rep.budget["clamped"]
-    assert rep.verdict is not Verdict.REFUTED
+    members = [elem(0, 1, 2), elem(1, 0, 2), [[1, 1], [0, 1]]]
+    for m in (1, 2, 3):
+        s = MatrixSet.from_arrays(members[:m])
+        interval = jsr_estimate(s, JsrConfig(depth=8))
+        caps = {m - 1} | {
+            count_words(m, k) + delta for k in range(1, 6) for delta in (-1, 0, 1)
+        }
+        for cap in sorted(caps):
+            if cap < m:
+                with pytest.raises(BudgetExceededError):
+                    check_polbd(s, interval, word_cap=cap)
+                continue
+            rep = check_polbd(s, interval, word_cap=cap)
+            depth_full = rep.budget["depth_full"]
+            depth = max(
+                k for k in range(1, depth_full + 1) if count_words(m, k) <= cap
+            )
+            assert rep.budget["depth"] == depth
+            assert rep.budget["clamped"] == (depth < depth_full)
+            low = lower_bound(s, depth)
+            assert rep.lhs == low.value
+            assert rep.witnesses["word"] == low.witness
+            if rep.budget["clamped"]:
+                assert rep.verdict is not Verdict.REFUTED
 
 
 def test_check_polbd_inconclusive_on_loose_interval():

@@ -1,0 +1,38 @@
+"""Every name a jsrkit module imports is used in it or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "jsrkit"
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
