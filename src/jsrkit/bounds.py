@@ -43,6 +43,7 @@ from jsrkit.core import (
     batch_operator_norms,
     batch_spectral_radii,
     check_budget,
+    count_words,
     max_operator_norm,
     product_levels,
     word_from_index,
@@ -112,7 +113,9 @@ class JsrInterval:
     its minimum.  ``diagnostics`` holds float counters: ``depth_reached``,
     ``words_enumerated``, ``eig_skipped``, ``svd_run`` and ``svd_skipped``
     (SVDs; both 0 under the row- and column-sum norms), and the flags
-    ``budget_exhausted`` and ``early_stop_width``.
+    ``budget_exhausted`` and ``early_stop_width``.  ``levels[k - 1]`` is
+    ``max_operator_norm``'s (value, index) under ``norm`` on each level k the
+    sweep completed; hand-built and scaled intervals have no levels.
     """
 
     lower: float
@@ -120,6 +123,8 @@ class JsrInterval:
     lower_witness: Word
     upper_depth: int
     diagnostics: dict = field(default_factory=dict)
+    levels: tuple[tuple[float, int], ...] = ()
+    norm: NormSpec | None = None
 
     def __post_init__(self):
         if self.lower < 0:
@@ -179,27 +184,25 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
     candidates: list[tuple[int, int, float]] = []
     best_up = math.inf
     up_depth = 0
-    words_seen = 0
     eig_skipped = 0
     svd_run = 0
     svd_skipped = 0
-    depth_reached = 0
+    rows: list[tuple[float, int]] = []
     budget_hit = False
     early_stop = False
 
     levels = product_levels(s.stack, depth)
     for k in range(1, depth + 1):
         level_count = m**k
-        if words_seen + level_count > config.word_cap:
+        if count_words(m, k) > config.word_cap:
             budget_hit = True
             break
         level = next(levels)
-        words_seen += level_count
-        depth_reached = k
 
         norms = max_operator_norm(level, config.norm)
         svd_run += norms.svd_run
         svd_skipped += norms.svd_skipped
+        rows.append((norms.value, norms.index))
         lev_up = norms.value ** (1.0 / k)
         if lev_up < best_up:
             best_up = lev_up
@@ -242,15 +245,17 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
             break
 
     diagnostics = {
-        "depth_reached": float(depth_reached),
-        "words_enumerated": float(words_seen),
+        "depth_reached": float(len(rows)),
+        "words_enumerated": float(count_words(m, len(rows))),
         "eig_skipped": float(eig_skipped),
         "svd_run": float(svd_run),
         "svd_skipped": float(svd_skipped),
         "budget_exhausted": 1.0 if budget_hit else 0.0,
         "early_stop_width": 1.0 if early_stop else 0.0,
     }
-    return JsrInterval(best_low, best_up, witness, up_depth, diagnostics)
+    return JsrInterval(
+        best_low, best_up, witness, up_depth, diagnostics, tuple(rows), config.norm
+    )
 
 
 def lower_bound(

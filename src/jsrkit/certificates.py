@@ -567,7 +567,8 @@ def check_boca_new(
 
     ||S^k|| is the max norm over all k-letter products.  If 2d^2 products
     exceed the word budget, n1 is clamped down (flagged); clamped runs can
-    only confirm or abstain.
+    only confirm or abstain.  ||S^n1|| comes from ``interval.levels`` if they reach
+    n1 under n's kind and factor object, else from a rebuild; rhs overflow is inf.
     """
     d = s.dim
     n1_full = 2 * d * d
@@ -577,19 +578,23 @@ def check_boca_new(
     if n1 < 1:
         raise BudgetExceededError(s.size, word_cap, "power norm at exponent 1")
     clamped = n1 < n1_full
-    for stack in product_levels(s.stack, n1):
-        pass
-    top = max_operator_norm(stack, n)
-    idx, lhs = top.index, top.value
-    base = float(2**7 * d**4 * set_norm(s, n) ** (n1 - 1))
-    rhs_lo, rhs_up = base * interval.lower, base * interval.upper
+    swept = interval.norm
+    if swept and len(interval.levels) >= n1 and swept.kind is n.kind and swept.g is n.g:
+        lhs, idx = interval.levels[n1 - 1]
+    else:
+        for stack in product_levels(s.stack, n1):
+            pass
+        lhs, idx = max_operator_norm(stack, n)[:2]
+    with np.errstate(over="ignore"):  # the same libm pow as float **, but saturating
+        base = float(2**7 * d**4 * np.float64(set_norm(s, n)) ** (n1 - 1))
+    rhs_lo, rhs_up = (base * x if x else 0.0 for x in (interval.lower, interval.upper))
     if lhs <= rhs_lo:
         verdict = Verdict.CONFIRMED
     elif not clamped and lhs > rhs_up * (1.0 + TOL_REL):
         verdict = Verdict.REFUTED
     else:
         verdict = Verdict.INCONCLUSIVE
-    ratio = lhs / rhs_lo if rhs_lo > 0 else (0.0 if lhs == 0.0 else math.inf)
+    ratio = lhs / rhs_lo if 0 < rhs_lo < math.inf else math.inf if lhs > rhs_lo else 0.0
     return TheoremReport(
         "BOCA_NEW",
         lhs,

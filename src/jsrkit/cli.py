@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", parents=[common], help="run a theorem checker")
     cert.add_argument("inputs", nargs="+", metavar="INPUT")
     cert.add_argument("--theorem", choices=["polbd", "boca", "bgel"], required=True)
-    cert.add_argument("--depth", type=int, default=8, help="estimation depth; bgel trajectory budget")
+    cert.add_argument("--depth", type=int, default=8, help="sweep depth (boca reuses it at >= 2d^2); bgel trajectory budget")
     cert.add_argument("--norm", choices=sorted(_NORMS), default="spectral")
     cert.add_argument("--eps", type=float, default=0.25, help="bgel slack parameter")
     cert.set_defaults(func=cmd_certify)

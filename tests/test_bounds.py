@@ -9,6 +9,7 @@ from jsrkit.bounds import (
     DivergentSeriesError,
     IndeterminateRankError,
     JsrConfig,
+    JsrInterval,
     barabanov_approx,
     conjugation_search,
     jsr_estimate,
@@ -174,6 +175,20 @@ def test_estimate_budget_partial():
     assert iv.diagnostics["budget_exhausted"] == 1.0
     assert iv.diagnostics["depth_reached"] < 30
     assert iv.lower <= 1.0 <= iv.upper
+
+
+def test_estimate_keeps_each_level_norm_under_its_norm():
+    s = unipotent_pair()
+    for n in (SPECTRAL, NormSpec.max_col_sum()):
+        iv = jsr_estimate(s, JsrConfig(depth=30, norm=n, word_cap=100))
+        assert iv.norm is n
+        assert len(iv.levels) == iv.diagnostics["depth_reached"] == 5
+        for row, level in zip(iv.levels, product_levels(s.stack, 5)):
+            assert row == max_operator_norm(level, n)[:2]
+    # norms of cS are not bit-equal to |c|^k times those of S, so a scaled
+    # interval carries no record, nor does a hand-built one
+    for plain in (iv.scaled(3.0), JsrInterval(0.0, 0.0, (0,), 1)):
+        assert (plain.levels, plain.norm) == ((), None)
 
 
 def test_estimate_early_stop():

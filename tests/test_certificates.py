@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from jsrkit import certificates
 from jsrkit.bounds import JsrConfig, JsrInterval, jsr_estimate, lower_bound
 from jsrkit.certificates import (
     CombinationNotFoundError,
@@ -20,6 +22,7 @@ from jsrkit.certificates import (
 )
 from jsrkit.core import (
     SPECTRAL,
+    WORD_CAP,
     BudgetExceededError,
     MatrixSet,
     NormSpec,
@@ -28,6 +31,7 @@ from jsrkit.core import (
     spectral_radius,
     vector_norm,
 )
+from jsrkit.families import FAMILY_NAMES, build_family
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
@@ -388,6 +392,137 @@ def test_check_boca_refutes_only_unclamped():
     rep = check_boca_new(s, SPECTRAL, wrong, word_cap=8)
     assert rep.budget["clamped"]
     assert rep.verdict is Verdict.INCONCLUSIVE
+
+
+def test_check_boca_saturates_an_overflowing_rhs():
+    # ||S||^(n1 - 1) = 1e315 is past the float range: the rhs reads inf
+    s = MatrixSet.from_arrays([1e45 * elem(0, 1, 2), np.eye(2)])
+    rep = check_boca_new(s, SPECTRAL, jsr_estimate(s, JsrConfig(depth=8)))
+    assert rep.lhs == pytest.approx(1e45)
+    assert rep.rhs_at_lower == rep.rhs_at_upper == math.inf
+    assert rep.verdict is Verdict.CONFIRMED
+    assert rep.witnesses["ratio"] == 0.0
+    # a zero lower end gives a zero rhs_at_lower, never inf * 0 = nan
+    loose = JsrInterval(0.0, 2.0, (0,), 1)
+    rep = check_boca_new(s, SPECTRAL, loose)
+    assert (rep.rhs_at_lower, rep.rhs_at_upper) == (0.0, math.inf)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.witnesses["ratio"] == math.inf
+    nil = MatrixSet.from_arrays([1e45 * elem(0, 1, 2)])
+    rep = check_boca_new(nil, SPECTRAL, jsr_estimate(nil, JsrConfig(depth=1)))
+    assert (rep.lhs, rep.rhs_at_lower, rep.rhs_at_upper) == (0.0, 0.0, math.inf)
+    assert rep.verdict is Verdict.CONFIRMED
+    assert rep.witnesses["ratio"] == 0.0
+
+
+def boca_sets():
+    rng = np.random.default_rng(43)
+    sets = [
+        build_family(name, dim=d, count=2).matrices
+        for name in FAMILY_NAMES
+        for d in ((2,) if name == "unipotent-pair" else (2, 3))
+    ]
+    for m in (1, 2, 3):
+        for d in (1, 2, 3):
+            mats = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+            sets.append(MatrixSet.from_arrays(list(mats)))
+    return sets
+
+
+def boca_cases(m, d, limit=1000):
+    """(cap, depth) pairs around the word-cap boundaries of n1 = 2d^2.
+
+    Caps sit at count_words(m, k) + {-1, 0, 1} (the sweep's total-words
+    rule), at m^k + {-1, 0, 1} (boca's own clamp) and at 1; depths at
+    n1 - 1, n1 and n1 + 1 for the n1 each cap leaves.  Pairs that clamp n1
+    and cut the sweep the same way are run once.
+    """
+    n1_full, caps = 2 * d * d, {1}
+    for k in range(1, n1_full + 2):
+        if m**k > limit:
+            break
+        caps |= {count_words(m, k) + e for e in (-1, 0, 1)}
+        caps |= {m**k + e for e in (-1, 0, 1)}
+    seen = set()
+    for cap in sorted(caps - {0}):
+        n1 = max((k for k in range(n1_full + 1) if m**k <= cap), default=0)
+        for depth in range(max(1, n1 - 1), n1 + 2):
+            reach = max(k for k in range(depth + 1) if count_words(m, k) <= cap)
+            if (n1, depth, reach) not in seen:
+                seen.add((n1, depth, reach))
+                yield cap, depth
+
+
+def test_check_boca_reuse_matches_rebuild():
+    # reading ||S^n1|| from the sweep gives the report a rebuild of level n1
+    # gives, bit for bit, whatever the norm, depth and word cap
+    rng = np.random.default_rng(47)
+    reused = rebuilt = 0
+    for s in boca_sets():
+        g = np.eye(s.dim) + 0.4 * rng.standard_normal((s.dim, s.dim))
+        for n in (
+            SPECTRAL,
+            NormSpec.max_row_sum(),
+            NormSpec.max_col_sum(),
+            NormSpec.ellipsoidal(g),
+        ):
+            for cap, depth in boca_cases(s.size, s.dim):
+                iv = jsr_estimate(s, JsrConfig(depth, n, cap))
+                bare = dataclasses.replace(iv, levels=())
+                try:
+                    got = check_boca_new(s, n, iv, word_cap=cap)
+                except BudgetExceededError:
+                    with pytest.raises(BudgetExceededError):
+                        check_boca_new(s, n, bare, word_cap=cap)
+                    continue
+                assert repr(got) == repr(check_boca_new(s, n, bare, word_cap=cap))
+                if len(iv.levels) >= got.budget["n1"]:
+                    reused += 1
+                else:
+                    rebuilt += 1
+    assert reused > 500 and rebuilt > 500
+
+
+def test_check_boca_reads_the_sweep_instead_of_rebuilding(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(certificates, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, name, wrapper)
+
+    spy("product_levels")
+    spy("max_operator_norm")
+
+    def calls_for(n, iv, cap=WORD_CAP):
+        calls.clear()
+        check_boca_new(s, n, iv, word_cap=cap)
+        return calls
+
+    rebuild = ["product_levels", "max_operator_norm"]
+    s = unipotent_pair()  # n1 = 8
+    ell = NormSpec.ellipsoidal([[2.0, 1.0], [0.0, 1.0]])
+    swept = jsr_estimate(s, JsrConfig(depth=8))
+    assert calls_for(SPECTRAL, swept) == []
+    assert calls_for(NormSpec.spectral(), swept) == []  # same kind, another object
+    assert calls_for(SPECTRAL, jsr_estimate(s, JsrConfig(depth=9))) == []
+    assert calls_for(ell, jsr_estimate(s, JsrConfig(8, ell))) == []
+    # a different kind or factor object, a shallower or budget-cut sweep, a
+    # scaled or a hand-built interval, levels without a norm: level 8 is rebuilt
+    assert calls_for(NormSpec.max_row_sum(), swept) == rebuild
+    other = NormSpec.ellipsoidal(ell.g)  # an equal factor, another object
+    assert calls_for(other, jsr_estimate(s, JsrConfig(8, ell))) == rebuild
+    assert calls_for(SPECTRAL, jsr_estimate(s, JsrConfig(depth=7))) == rebuild
+    cut = jsr_estimate(s, JsrConfig(depth=8, word_cap=2**8))
+    assert cut.diagnostics["budget_exhausted"] and len(cut.levels) == 7
+    assert calls_for(SPECTRAL, cut, cap=2**8) == rebuild
+    assert calls_for(SPECTRAL, swept.scaled(1.0)) == rebuild
+    assert calls_for(SPECTRAL, JsrInterval(swept.lower, swept.upper, (0,), 1)) == rebuild
+    assert calls_for(SPECTRAL, dataclasses.replace(swept, norm=None)) == rebuild
 
 
 def test_check_bg_el_scalar_one():

@@ -259,6 +259,19 @@ def test_certify_bgel_without_a_level_is_a_budget_error(tmp_path, capsys):
         assert out == "" and "budget exceeded" in err
 
 
+def test_certify_boca_reports_an_overflowing_rhs(tmp_path, capsys):
+    # ||S||^(n1 - 1) = (1e45)^7 is past the float range
+    big = np.array([[0, 1e45], [0, 0]], dtype=complex)
+    doc = InputDocument.from_matrix_set(MatrixSet.from_arrays([big, np.eye(2)]))
+    path = write_doc(tmp_path, "big.json", doc)
+    code, out, err = run(capsys, "certify", path, "--theorem", "boca")
+    assert code == 0
+    assert "Traceback" not in err and "boca CONFIRMED" in err
+    rep = reports(out)[0]["results"]["report"]
+    assert (rep["rhs_at_lower"], rep["rhs_at_upper"]) == ("inf", "inf")
+    assert rep["witnesses"]["ratio"] == 0.0
+
+
 def test_certify_exit_code_is_the_worst_over_inputs(tmp_path, capsys):
     ident = write_doc(
         tmp_path, "i.json",
