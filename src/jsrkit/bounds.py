@@ -14,12 +14,12 @@ A note on pruning: discarding whole subtrees whose prefix norm falls below
 could still improve the maximum has a cyclic rotation whose prefixes all
 stay above the bound) but it can silently corrupt the norm side, because
 the word attaining ``max ||eval(w)||`` may well have a small prefix.  The
-sweep therefore still visits every word.  It uses the running lower bound
-only to skip eigenvalue evaluations that provably cannot improve it, and
-each level's cheap norm brackets (``core.max_operator_norm``) to skip
-singular value decompositions that cannot change that level's maximum;
-both tests carry a guard against roundoff.  Results are bit-identical to
-evaluating every word in full.
+sweep therefore still visits every word.  ``core.max_operator_norm``
+gives each word cheap norm brackets, which skip the SVDs that cannot change
+a level's maximum, and the free bound rho(A) <= min(||A||_1, ||A||_inf,
+||A||_F), which skips the eigensolves that cannot reach the running lower
+bound; both tests carry a guard against roundoff.  Results are
+bit-identical to evaluating every word in full.
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ class JsrInterval:
     ``lower_witness`` is a word whose normalized spectral radius reproduces
     ``lower``; ``upper_depth`` is the power at which the norm side attained
     its minimum.  ``diagnostics`` holds float counters: ``depth_reached``,
-    ``words_enumerated``, ``eig_skipped``, ``svd_run`` and ``svd_skipped``
-    (SVDs; both 0 under the row- and column-sum norms), and the flags
+    ``words_enumerated``, ``eig_skipped`` (words the radius bound spared an
+    eigensolve, under any norm), ``svd_run`` and ``svd_skipped`` (SVDs; both
+    0 under the row- and column-sum norms), and the flags
     ``budget_exhausted`` and ``early_stop_width``.  ``levels[k - 1]`` is
     ``max_operator_norm``'s (value, index) under ``norm`` on each level k the
     sweep completed; hand-built and scaled intervals have no levels.
@@ -140,7 +141,8 @@ class JsrInterval:
         # both have converged; an empty overlap is width zero, not negative
         return max(0.0, self.upper - self.lower)
 
-    def scaled(self, c: float) -> "JsrInterval":
+    def scaled(self, c: complex) -> "JsrInterval":
+        c = abs(c)  # jsr(cS) = |c| jsr(S)
         return JsrInterval(
             self.lower * c, self.upper * c, self.lower_witness, self.upper_depth,
             dict(self.diagnostics),
@@ -162,14 +164,19 @@ class JsrConfig:
     word_cap: int = WORD_CAP
     target_width: float | None = None
 
+    def __post_init__(self):
+        if self.target_width is not None and not self.target_width >= 0:
+            raise ValueError(f"target_width must be >= 0, got {self.target_width}")
+
 
 def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
     """Both sandwich bounds in one breadth-first sweep that visits every word.
 
-    The running lower bound skips eigensolves, and each level's norm
-    brackets skip singular value decompositions, only where they cannot
-    change the result.  The lower end, its witness and ``eig_skipped`` do
-    not depend on ``config.norm``; ``lower_bound`` and ``upper_bound`` are
+    A word gets an eigensolve only when min(||A||_1, ||A||_inf, ||A||_F)^(1/|w|)
+    reaches the running lower bound less a 1e-12 guard; ``eig_skipped``
+    counts the rest.  Norm brackets skip the SVDs that cannot change a
+    level's maximum.  The lower end, its witness and ``eig_skipped`` do not
+    depend on ``config.norm``; ``lower_bound`` and ``upper_bound`` are
     the two ends of this interval under a strict budget.  On budget
     exhaustion the deepest completed level determines a (wider) valid
     interval, flagged in the diagnostics rather than raised.
@@ -208,26 +215,23 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
             best_up = lev_up
             up_depth = k
 
-        # rho(A) <= ||A|| for every operator norm, so words whose row-sum
-        # bound cannot reach the running maximum are skipped outright.
-        # The guard factor keeps ties eligible so the reported witness is
-        # identical to the exhaustive computation.
-        cutoff = best_low * (1 - 1e-12)
-        mask = norms.row_sums ** (1.0 / k) >= cutoff
-        eig_skipped += int(level_count - mask.sum())
-        radii = np.zeros(level_count)
-        if mask.any():
-            radii[mask] = batch_spectral_radii(level[mask])
-        radii[radii <= _EIG_NOISE_FACTOR * d * eps * norms.scale] = 0.0
+        # rho(A) <= min(||A||_1, ||A||_inf, ||A||_F), so words whose bound
+        # cannot reach the running maximum skip all eigenvalue-side work.
+        # The guard keeps ties eligible so the reported witness is identical
+        # to the exhaustive computation (see core._SKIP_GUARD).
+        keep = np.flatnonzero(norms.radius_bounds ** (1.0 / k) >= best_low * (1 - 1e-12))
+        eig_skipped += level_count - keep.size
+        radii = batch_spectral_radii(level[keep])
+        radii[radii <= _EIG_NOISE_FACTOR * d * eps * norms.scale[keep]] = 0.0
         vals = radii ** (1.0 / k)
-        lev_best = float(vals.max())
+        lev_best = float(vals.max(initial=0.0))
         if lev_best > best_low:
             best_low = lev_best
             cut = best_low * (1 - 1e-12)
             candidates = [c for c in candidates if c[2] >= cut]
-        hits = np.nonzero(vals >= best_low * (1 - 1e-12))[0]
-        for idx in hits[:1024]:
-            candidates.append((k, int(idx), float(vals[idx])))
+        # skipped words tie too at best_low == 0, but level 1 skips none
+        hits = np.flatnonzero(vals >= best_low * (1 - 1e-12))[:1024]
+        candidates += [(k, int(keep[i]), float(vals[i])) for i in hits]
 
         if (
             config.target_width is not None

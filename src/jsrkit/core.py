@@ -342,7 +342,7 @@ class LevelNorms(NamedTuple):
     index: int  # its first argmax
     svd_run: int
     svd_skipped: int
-    row_sums: np.ndarray  # per row: the max absolute row sum
+    radius_bounds: np.ndarray  # per row: min(||A||_1, ||A||_inf, ||A||_F) >= rho(A)
     scale: np.ndarray  # per row: the max |entry|
 
 
@@ -372,6 +372,18 @@ _BLOCK_ENTRIES = 1 << 16
 #   the three roundings of the test itself included.
 # Every row whose computed norm ties or beats the maximum is kept, so the
 # max and its first argmax equal those of the full computation bit for bit.
+#
+# bounds.jsr_estimate eigensolves a word of length k only when
+# radius_bounds^(1/k) >= L (1 - 1e-12), L the running lower end.  Up to
+# DIM_CAP = 32, 1e-12 (about 4500 eps) covers both errors between a computed
+# radius r and bound b: b is within 2 d eps of min(||A||_1, ||A||_inf,
+# ||A||_F), as counted above, and LAPACK's eigenvalues are exact for some
+# A + E with ||E||_2 <= p(d) u ||A||_2, so r <= N(A) (1 + d p(d) u + u) for
+# each of the three norms N (N(E) <= sqrt(d) ||E||_2, ||A||_2 <= sqrt(d) N(A)).
+# Every word whose radius can reach L is kept whenever p(d) <= 8 d; on exact
+# ties (u u^H, phased permutations) r tops b by at most 13 eps at d = 32.  A
+# skipped word could be a missed witness only if its radius fell within that
+# error of L (1 - 1e-12) itself.
 _SKIP_GUARD = 64.0
 
 
@@ -387,6 +399,25 @@ def _max_last(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bracket(a: np.ndarray, top: np.ndarray):
+    """Per row of |entries| ``a`` (largest ``top``): the exponent e of the
+    exact rescaling by 2^-e, then on the rescaled row the spectral bracket
+    (low, up), and min(||A||_1, ||A||_inf, ||A||_F) scaled back; (0, inf) and
+    inf where ``top`` is subnormal, so that |z| is off by more than an ulp."""
+    e = np.frexp(top)[1]
+    a = np.ldexp(a, -e[:, np.newaxis, np.newaxis])
+    sq = a * a
+    row2, col2 = np.einsum("nij->ni", sq), np.einsum("nij->nj", sq)
+    low = np.sqrt(_max_last(np.maximum(row2, col2)))
+    fro = np.sqrt(np.einsum("ni->n", row2))
+    col1, row1 = _max_last(np.einsum("nij->nj", a)), _max_last(np.einsum("nij->ni", a))
+    up = np.minimum(fro, np.sqrt(col1 * row1))
+    bound = np.minimum(np.minimum(col1, row1), fro)
+    sub = (top < np.finfo(float).tiny) & (top != 0)
+    low[sub], up[sub], bound[sub] = 0.0, np.inf, np.inf
+    return e, low, up, np.ldexp(bound, e)
+
+
 def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
     """``batch_operator_norms(stack, n)``'s max and first argmax, in one pass.
 
@@ -396,55 +427,35 @@ def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
     min(Frobenius, sqrt(||A||_1 ||A||_inf)),  computed after an exact
     power-of-two rescaling so that no square overflows or underflows, and
     only rows whose upper bracket can reach the largest lower one go through
-    ``batch_operator_norms``.  A row whose largest |entry| is subnormal,
-    where |z| itself is off by more than an ulp, gets no bracket and always
-    goes through it.
+    ``batch_operator_norms``, as does every row whose largest |entry| is
+    subnormal.  ``radius_bounds`` comes from A itself under every kind.
     """
     count, d = stack.shape[0], stack.shape[1]
     svd = n.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL)
-    row_sums, scale = np.empty(count), np.empty(count)
-    if svd:
-        lower, upper = np.empty(count), np.empty(count)
-        exps = np.empty(count, dtype=np.int32)
-    elif n.kind is NormKind.MAX_COL_SUM:
-        col_sums = np.empty(count)
-    tiny = np.finfo(float).tiny
+    radius_bounds, scale = np.empty((2, count))  # these two outlive the call
+    lower, upper, sums = np.empty((3, count))
+    exps = np.empty(count, dtype=np.int32)
     rows = max(1, _BLOCK_ENTRIES // (d * d))
     for lo in range(0, count, rows):
         part = slice(lo, lo + rows)
         a = np.abs(stack[part])
-        # these two read exactly as a whole-level numpy reduction would
-        row_sums[part] = _max_last(a.sum(axis=2))
         scale[part] = top = _max_last(_max_last(a))
-        if n.kind is NormKind.MAX_COL_SUM:
-            col_sums[part] = _max_last(a.sum(axis=1))
         if not svd:
-            continue
+            # reads exactly as a whole-level numpy reduction would
+            sums[part] = _max_last(a.sum(axis=2 if n.kind is NormKind.MAX_ROW_SUM else 1))
+        exps[part], lower[part], upper[part], radius_bounds[part] = _bracket(a, top)
         if n.kind is NormKind.ELLIPSOIDAL:
             a = np.abs(np.einsum("ij,njk,kl->nil", n.g, stack[part], n.g_inv))
-            top = _max_last(_max_last(a))
-        exps[part] = np.frexp(top)[1]
-        a = np.ldexp(a, -exps[part, np.newaxis, np.newaxis])
-        sq = a * a
-        row2, col2 = np.einsum("nij->ni", sq), np.einsum("nij->nj", sq)
-        low = np.sqrt(_max_last(np.maximum(row2, col2)))
-        up = np.minimum(
-            np.sqrt(np.einsum("ni->n", row2)),
-            np.sqrt(_max_last(np.einsum("nij->nj", a)) * _max_last(np.einsum("nij->ni", a))),
-        )
-        unbracketed = (top < tiny) & (top != 0)
-        low[unbracketed], up[unbracketed] = 0.0, np.inf
-        lower[part], upper[part] = low, up
+            exps[part], lower[part], upper[part], _ = _bracket(a, _max_last(_max_last(a)))
 
     if not svd:
-        sums = row_sums if n.kind is NormKind.MAX_ROW_SUM else col_sums
         i = int(np.argmax(sums))
-        return LevelNorms(float(sums[i]), i, 0, 0, row_sums, scale)
+        return LevelNorms(float(sums[i]), i, 0, 0, radius_bounds, scale)
     # compare on the scale of the largest row, where the brackets that
     # matter stay normal numbers; exactly the zero rows have upper = 0
     nonzero = upper != 0
     if not nonzero.any():
-        return LevelNorms(0.0, 0, 0, count, row_sums, scale)
+        return LevelNorms(0.0, 0, 0, count, radius_bounds, scale)
     exps -= exps[nonzero].max()
     np.ldexp(lower, exps, out=lower)
     np.ldexp(upper, exps, out=upper)
@@ -454,7 +465,7 @@ def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
     norms = batch_operator_norms(stack[keep], n)
     j = int(np.argmax(norms))
     return LevelNorms(
-        float(norms[j]), int(keep[j]), keep.size, count - keep.size, row_sums, scale
+        float(norms[j]), int(keep[j]), keep.size, count - keep.size, radius_bounds, scale
     )
 
 

@@ -33,6 +33,7 @@ from jsrkit.core import (
     spectral_radius,
 )
 from jsrkit.families import unitary_mix
+from test_core import radius_bound_reference
 from test_properties import conjugated
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -169,6 +170,18 @@ def test_estimate_scaling_equivariance():
     assert iv2.lower_witness == iv1.lower_witness
 
 
+def test_interval_scaled_by_modulus():
+    s = unipotent_pair()
+    iv = jsr_estimate(s, JsrConfig(depth=5))
+    for c in (-2.0, 1j, 0.5):
+        got = iv.scaled(c)
+        assert (got.lower, got.upper) == (abs(c) * iv.lower, abs(c) * iv.upper)
+        assert got.lower_witness == iv.lower_witness
+        ref = jsr_estimate(s.scaled(c), JsrConfig(depth=5))
+        assert got.lower == pytest.approx(ref.lower, rel=1e-12)
+        assert got.upper == pytest.approx(ref.upper, rel=1e-12)
+
+
 def test_estimate_budget_partial():
     s = swap_pair()
     iv = jsr_estimate(s, JsrConfig(depth=30, word_cap=100))
@@ -196,6 +209,9 @@ def test_estimate_early_stop():
     iv = jsr_estimate(s, JsrConfig(depth=50, target_width=1e-12))
     assert iv.diagnostics["early_stop_width"] == 1.0
     assert iv.diagnostics["depth_reached"] < 50
+    for bad in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="target_width must be >= 0"):
+            JsrConfig(target_width=bad)
 
 
 def test_every_sweep_rejects_depth_below_one():
@@ -225,10 +241,15 @@ def full_max_operator_norm(stack, n=SPECTRAL):
     """The reference: every row's norm through batch_operator_norms."""
     norms = batch_operator_norms(stack, n)
     i = int(np.argmax(norms))
-    a = np.abs(stack)
     return LevelNorms(
-        float(norms[i]), i, len(norms), 0, a.sum(axis=2).max(axis=1), a.max(axis=(1, 2))
+        float(norms[i]), i, len(norms), 0,
+        radius_bound_reference(stack), np.abs(stack).max(axis=(1, 2)),
     )
+
+
+def every_eigensolve(stack, n=SPECTRAL):
+    """``max_operator_norm`` with a radius bound that skips no eigensolve."""
+    return max_operator_norm(stack, n)._replace(radius_bounds=np.full(len(stack), np.inf))
 
 
 def differential_sets():
@@ -255,7 +276,7 @@ def test_norm_skip_matches_full_svds(monkeypatch):
             for level in product_levels(s.stack, depth):
                 got, ref = max_operator_norm(level, n), full_max_operator_norm(level, n)
                 assert (got.value, got.index) == (ref.value, ref.index)
-                assert np.array_equal(got.row_sums, ref.row_sums)
+                np.testing.assert_allclose(got.radius_bounds, ref.radius_bounds, rtol=1e-13)
                 assert np.array_equal(got.scale, ref.scale)
 
             def run():
@@ -273,6 +294,24 @@ def test_norm_skip_matches_full_svds(monkeypatch):
                 mp.setattr(bounds, "max_operator_norm", full_max_operator_norm)
                 mp.setattr(certificates, "max_operator_norm", full_max_operator_norm)
                 assert run() == fast
+
+
+def test_eig_skip_matches_full_eigensolves(monkeypatch):
+    rng = np.random.default_rng(37)
+    skipped = 0
+    for s in differential_sets():
+        d, depth = s.dim, {1: 10, 2: 7, 3: 5, 4: 4}[s.size]
+        g = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+        for n in (SPECTRAL, NormSpec.max_row_sum(), NormSpec.max_col_sum(), NormSpec.ellipsoidal(g)):
+            fast = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
+            with monkeypatch.context() as mp:
+                mp.setattr(bounds, "max_operator_norm", every_eigensolve)
+                full = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
+            assert full.diagnostics["eig_skipped"] == 0
+            skipped += fast.diagnostics["eig_skipped"]
+            ends = [(iv.lower, iv.lower_witness, iv.upper, iv.upper_depth) for iv in (fast, full)]
+            assert ends[0] == ends[1]
+    assert skipped > 0
 
 
 # --- conjugation_search ------------------------------------------------------

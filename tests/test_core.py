@@ -8,6 +8,7 @@ import pytest
 from jsrkit import JsrConfig, jsr_estimate
 from jsrkit.core import (
     _BLOCK_ENTRIES,
+    DIM_CAP,
     WORD_CAP,
     BudgetExceededError,
     ComplexMatrix,
@@ -15,6 +16,7 @@ from jsrkit.core import (
     MatrixSet,
     NormSpec,
     batch_operator_norms,
+    batch_spectral_radii,
     check_budget,
     count_words,
     eval_word,
@@ -26,7 +28,7 @@ from jsrkit.core import (
     vector_norm,
     word_from_index,
 )
-from jsrkit.families import unipotent_pair
+from jsrkit.families import haar_unitary, unipotent_pair
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -115,14 +117,27 @@ def test_set_norm():
     assert set_norm(t, NormSpec.spectral()) == pytest.approx(1.0)
 
 
+def radius_bound_reference(stack):
+    """min(||A||_1, ||A||_inf, ||A||_F) per row, computed on A / max|entry|;
+    inf where that largest |entry| is subnormal."""
+    a = np.abs(stack)
+    top = a.max(axis=(1, 2))
+    b = a / np.where(top > 0, top, 1.0)[:, np.newaxis, np.newaxis]
+    rows, cols = b.sum(axis=2).max(axis=1), b.sum(axis=1).max(axis=1)
+    bound = np.minimum(np.minimum(rows, cols), np.sqrt((b * b).sum(axis=(1, 2)))) * top
+    return np.where((top < np.finfo(float).tiny) & (top > 0), np.inf, bound)
+
+
 def assert_max_norm_matches_full_svd(stack, n=NormSpec.spectral()):
     full = batch_operator_norms(stack, n)
     top = max_operator_norm(stack, n)
     assert top.value == full.max()
     assert top.index == np.argmax(full)
-    a = np.abs(stack)
-    assert np.array_equal(top.row_sums, a.sum(axis=2).max(axis=1))
-    assert np.array_equal(top.scale, a.max(axis=(1, 2)))
+    np.testing.assert_allclose(top.radius_bounds, radius_bound_reference(stack), rtol=1e-13)
+    # the bound comes from A itself, whatever the norm
+    row_sum = max_operator_norm(stack, NormSpec.max_row_sum())
+    assert np.array_equal(top.radius_bounds, row_sum.radius_bounds)
+    assert np.array_equal(top.scale, np.abs(stack).max(axis=(1, 2)))
     return top
 
 
@@ -165,6 +180,37 @@ def test_max_operator_norm_edge_rows():
     for n in (NormSpec.max_row_sum(), NormSpec.max_col_sum()):
         top = assert_max_norm_matches_full_svd(base, n)
         assert top.svd_run == top.svd_skipped == 0
+
+
+def test_radius_bound_covers_spectral_radius():
+    # rank-one u u^H, phased permutations and diagonal unitaries tie
+    # rho = min(||A||_1, ||A||_inf, ||A||_F); the computed radius may then
+    # exceed the bound by a few ulps, which the sweep's 1 - 1e-12 guard covers
+    rng = np.random.default_rng(41)
+    t = 2.0**-1074
+    for d in (1, 2, 3, 8, DIM_CAP):
+        rows = []
+        for lam in (0, 0.5j, 1, -3):  # Jordan blocks, plain and unitarily conjugated
+            j = lam * np.eye(d) + np.eye(d, k=1)
+            q = haar_unitary(d, rng)
+            rows += [j, q @ j @ q.conj().T]
+        u, v = rng.standard_normal((2, d, 1)) + 1j * rng.standard_normal((2, d, 1))
+        rows += [u @ u.conj().T, u @ v.conj().T, u @ u.T]
+        phases = np.exp(2j * np.pi * rng.random(d))
+        rows += [haar_unitary(d, rng), np.eye(d)[rng.permutation(d)] * phases, np.diag(phases)]
+        stack = np.array(rows + [np.zeros((d, d))], dtype=complex)
+        for k in (-300, -100, -10, 0, 10, 100, 300):
+            scaled = stack * 10.0**k
+            bounds = max_operator_norm(scaled).radius_bounds
+            assert (batch_spectral_radii(scaled) <= bounds * (1 + 1e-12)).all()
+        sub = np.array([stack[2] * 2.0**-1060, (3 + 3j) * t * np.eye(d), (3 + 5j) * t * stack[-3]])
+        assert (max_operator_norm(sub).radius_bounds == np.inf).all()
+    # a row whose largest |entry| is subnormal gets no bound: here |z| rounds
+    # to 7 t for both entries, so every sum reads 7 t, but the radius 8 t
+    odd = np.array([[[0, (-7 + 1j) * t], [(-6 + 4j) * t, 0]]])
+    assert batch_spectral_radii(odd)[0] == 8 * t
+    assert np.abs(odd).sum(axis=2).max() == 7 * t
+    assert max_operator_norm(odd).radius_bounds[0] == np.inf
 
 
 def enumerate_levels(s, depth):

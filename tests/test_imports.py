@@ -1,11 +1,12 @@
-"""Every name a jsrkit module imports is used in it or re-exported."""
+"""Every name a jsrkit module or test imports is used in it or re-exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "jsrkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "jsrkit"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -33,6 +34,8 @@ def unused_imports(path: Path) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
