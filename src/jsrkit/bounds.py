@@ -35,7 +35,6 @@ from jsrkit.core import (
     SPECTRAL,
     TOL_REL,
     WORD_CAP,
-    ComplexMatrix,
     JsrError,
     MatrixSet,
     NormSpec,
@@ -90,7 +89,7 @@ class LowerBound(NamedTuple):
 
 
 class ConjugationResult(NamedTuple):
-    g: ComplexMatrix
+    g: np.ndarray  # read-only
     value: float
 
 
@@ -344,7 +343,7 @@ def conjugation_search(
     """
     d = s.dim
     identity_value = float(batch_operator_norms(s.stack, norm).max())
-    best = ConjugationResult(ComplexMatrix(np.eye(d)), identity_value)
+    best = ConjugationResult(np.eye(d), identity_value)
 
     def consider(g: np.ndarray) -> None:
         nonlocal best
@@ -354,7 +353,7 @@ def conjugation_search(
             return
         value = float(batch_operator_norms(conj, norm).max())
         if value < best.value:
-            best = ConjugationResult(ComplexMatrix(g), value)
+            best = ConjugationResult(g, value)
 
     # strategy (a): accumulated diagonal balancing
     g_diag = np.ones(d)
@@ -385,7 +384,9 @@ def conjugation_search(
             break
         consider(chol.conj().T)
 
-    return best
+    g = np.array(best.g, dtype=np.complex128, order="C")
+    g.flags.writeable = False
+    return best._replace(g=g)
 
 
 # --- weighted series norm ----------------------------------------------------
@@ -515,8 +516,8 @@ def barabanov_approx(
 
     base = np.linalg.norm(matrices @ dirs, axis=1).max(axis=0)
     worst = -math.inf
-    for m in s.members:
-        imgs = np.linalg.norm(matrices @ (m.entries @ dirs), axis=1).max(axis=0)
+    for m in s.stack:
+        imgs = np.linalg.norm(matrices @ (m @ dirs), axis=1).max(axis=0)
         worst = max(worst, float((imgs / (rho_hat * base)).max()))
     slack = worst - 1.0
 
@@ -590,16 +591,10 @@ def nilpotency_test(
     IndeterminateRankError instead of guessing.
     """
     d = s.dim
-    mats = [m.entries for m in s.members]
+    mats = s.stack
     ref = max(float(np.linalg.norm(m)) for m in mats)
 
-    q = _accept_directions(
-        np.stack([m.reshape(-1) for m in mats], axis=1),
-        None,
-        tol_rank,
-        band,
-        ref,
-    )
+    q = _accept_directions(mats.reshape(s.size, -1).T, None, tol_rank, band, ref)
     if q is None:
         # every member is (numerically) zero
         return NilpotencyResult(True, 0)

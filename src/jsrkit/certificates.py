@@ -23,17 +23,16 @@ import numpy as np
 
 from .bounds import JsrConfig, JsrInterval, jsr_estimate, lower_bound
 from .core import (
+    _as_complex_stack,
     SPECTRAL,
     TOL_REL,
     WORD_CAP,
     BudgetExceededError,
-    ComplexMatrix,
     JsrError,
     MatrixSet,
     NormKind,
     NormSpec,
     Word,
-    as_matrix,
     batch_operator_norms,
     batch_spectral_radii,
     check_budget,
@@ -82,7 +81,7 @@ class ResidualCertificate:
     vacuous but still valid.
     """
 
-    a: ComplexMatrix
+    a: np.ndarray  # read-only
     x: np.ndarray
     lam: complex
     residual: float
@@ -98,23 +97,24 @@ def residual_certificate(a, x, lam, n: NormSpec = SPECTRAL) -> ResidualCertifica
     of ``a`` under ``n`` is at most 1, ``x`` is a unit vector in the
     corresponding vector norm, and |lam| <= 2.
     """
-    mat = as_matrix(a)
+    mat = _as_complex_stack([a])[0]
+    d = mat.shape[0]
     vec = np.array(x, dtype=np.complex128, copy=True).reshape(-1)
-    if vec.shape[0] != mat.dim:
-        raise ValueError(f"vector length {vec.shape[0]} != matrix dimension {mat.dim}")
+    if vec.shape[0] != d:
+        raise ValueError(f"vector length {vec.shape[0]} != matrix dimension {d}")
     lam = complex(lam)
 
-    a_norm = operator_norm(mat.entries, n)
+    a_norm = operator_norm(mat, n)
     if a_norm > 1.0 + TOL_REL:
         raise ValueError(f"norm bound violated: ||a|| = {a_norm} > 1")
+    # written as "not <=" so that a NaN x or lam is rejected too
     x_norm = vector_norm(vec, n)
-    if abs(x_norm - 1.0) > TOL_REL:
+    if not abs(x_norm - 1.0) <= TOL_REL:
         raise ValueError(f"unit vector violated: ||x|| = {x_norm}")
-    if abs(lam) > 2.0 * (1.0 + TOL_REL):
+    if not abs(lam) <= 2.0 * (1.0 + TOL_REL):
         raise ValueError(f"lambda bound violated: |lam| = {abs(lam)} > 2")
 
-    residual = vector_norm(mat.entries @ vec - lam * vec, n)
-    d = mat.dim
+    residual = vector_norm(mat @ vec - lam * vec, n)
     abs_lam = abs(lam)
     if abs_lam == 0.0:
         eps = 0.0 if residual == 0.0 else math.inf
@@ -235,7 +235,7 @@ def trace_bound(a) -> float:
     Small power traces pin down all elementary symmetric functions of the
     eigenvalues through the Newton identities, hence all eigenvalues.
     """
-    m = as_matrix(a).entries
+    m = _as_complex_stack([a])[0]
     d = m.shape[0]
     p = np.eye(d, dtype=np.complex128)
     eps = 0.0

@@ -186,7 +186,7 @@ def cmd_estimate(args) -> int:
             conj = conjugation_search(s, norm=jsr_config.norm)
             results["conjugation"] = {
                 "value": conj.value,
-                "g": _complex_rows(conj.g.entries),
+                "g": _complex_rows(conj.g),
             }
         if args.barabanov:
             if interval.upper > 0:

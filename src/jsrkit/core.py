@@ -5,15 +5,16 @@ A product of set members is addressed by a *word*: a tuple of member
 indices ``(i1, ..., ik)`` evaluated right-to-left, so the letter ``i1``
 acts first:
 
-    eval((i1, ..., ik)) = members[ik] @ ... @ members[i1]
+    eval((i1, ..., ik)) = stack[ik] @ ... @ stack[i1]
 
-All operations here are pure; matrices are stored read-only.
+where ``stack`` is the set's members as one (m, d, d) array.  All
+operations here are pure; matrices are stored read-only.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,12 +28,10 @@ __all__ = [
     "JsrError",
     "BudgetExceededError",
     "EigensolverError",
-    "ComplexMatrix",
     "MatrixSet",
     "Word",
     "NormKind",
     "NormSpec",
-    "as_matrix",
     "eval_word",
     "spectral_radius",
     "operator_norm",
@@ -78,12 +77,17 @@ class EigensolverError(JsrError):
 Word = tuple[int, ...]
 
 
-def _as_complex_array(entries) -> np.ndarray:
-    a = np.array(entries, dtype=np.complex128, copy=True, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("empty matrix")
+def _as_complex_stack(arrays) -> np.ndarray:
+    """``arrays`` as a read-only, C-contiguous ``complex128`` copy of shape
+    (m, d, d) with m, d >= 1 and finite entries."""
+    try:
+        a = np.array(arrays, dtype=np.complex128, order="C")
+    except ValueError as exc:  # ragged or non-numeric input
+        raise ValueError(f"expected numeric matrices of one shape: {exc}") from None
+    if a.ndim == 0 or a.shape[0] == 0:
+        raise ValueError("a MatrixSet needs at least one member")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+        raise ValueError(f"expected nonempty square matrices, got shape {a.shape[1:]}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix entries must be finite")
     a.flags.writeable = False
@@ -91,114 +95,64 @@ def _as_complex_array(entries) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexMatrix:
-    """A d x d complex matrix with finite entries, immutable after creation."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_complex_array(self.entries))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-    def same_entries(self, other: "ComplexMatrix") -> bool:
-        return bool(np.array_equal(self.entries, other.entries))
-
-    def __repr__(self):
-        return f"ComplexMatrix(dim={self.dim})"
-
-
-def as_matrix(m) -> ComplexMatrix:
-    """Coerce an array-like or ComplexMatrix into a ComplexMatrix."""
-    if isinstance(m, ComplexMatrix):
-        return m
-    return ComplexMatrix(m)
-
-
-@dataclass(frozen=True, eq=False)
 class MatrixSet:
     """A finite, non-empty set of same-dimension complex matrices.
 
-    Members keep their given order; words index into it.  Exact duplicate
-    members are legal but flagged, since they only waste enumeration budget.
+    ``stack`` holds the members, in their given order, as one read-only,
+    C-contiguous ``complex128`` array of shape (size, d, d), copied from the
+    input; words index into it.  Exact duplicate members are legal but
+    flagged in ``warnings``, since they only waste enumeration budget.
     """
 
-    members: tuple[ComplexMatrix, ...]
-    warnings: tuple[str, ...] = ()
+    stack: np.ndarray
+    warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        members = tuple(as_matrix(m) for m in self.members)
-        if not members:
-            raise ValueError("a MatrixSet needs at least one member")
-        d = members[0].dim
-        for k, m in enumerate(members):
-            if m.dim != d:
-                raise ValueError(
-                    f"member {k} has dimension {m.dim}, expected {d}"
-                )
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: Iterable,
-        *,
-        dim_cap: int = DIM_CAP,
-        check_duplicates: bool = True,
-    ) -> "MatrixSet":
-        members = tuple(as_matrix(a) for a in arrays)
-        warnings: list[str] = []
-        if members and members[0].dim > dim_cap:
+        stack = _as_complex_stack(self.stack)
+        if stack.shape[1] > DIM_CAP:
             raise ValueError(
-                f"dimension {members[0].dim} exceeds the cap of {dim_cap}; "
+                f"dimension {stack.shape[1]} exceeds the cap of {DIM_CAP}; "
                 f"dense enumeration does not scale there"
             )
-        if check_duplicates:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    if members[i].same_entries(members[j]):
-                        warnings.append(
-                            f"members {i} and {j} are exact duplicates"
-                        )
-        return cls(members, tuple(warnings))
+        # each member against all later ones: O(m) numpy calls, (m, d^2) memory
+        flat = stack.reshape(stack.shape[0], -1)
+        warnings = [
+            f"members {i} and {i + 1 + j} are exact duplicates"
+            for i in range(flat.shape[0] - 1)
+            for j in np.flatnonzero((flat[i + 1 :] == flat[i]).all(axis=1))
+        ]
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "warnings", tuple(warnings))
+
+    @classmethod
+    def from_arrays(cls, arrays: Iterable) -> "MatrixSet":
+        """The set of the given d x d array-likes, in order."""
+        return cls(list(arrays))
 
     @property
     def dim(self) -> int:
-        return self.members[0].dim
+        return self.stack.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.stack.shape[0]
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """All members as one read-only (size, d, d) array."""
-        s = np.stack([m.entries for m in self.members])
-        s.flags.writeable = False
-        return s
+        return self.stack.shape[0]
 
     def scaled(self, c: complex) -> "MatrixSet":
         """The set {c*m for m in members}, preserving order."""
-        return MatrixSet(tuple(ComplexMatrix(c * m.entries) for m in self.members))
+        return MatrixSet(c * self.stack)
 
     def __repr__(self):
         return f"MatrixSet(size={self.size}, dim={self.dim})"
 
 
 def validate_word(word: Sequence[int], set_size: int) -> Word:
-    w = tuple(int(i) for i in word)
-    for i in w:
-        if not 0 <= i < set_size:
-            raise ValueError(f"word letter {i} out of range for a set of size {set_size}")
-    return w
+    for letter in word:
+        if int(letter) != letter or not 0 <= letter < set_size:
+            raise ValueError(f"word letter {letter!r} is not an integer in [0, {set_size})")
+    return tuple(int(i) for i in word)
 
 
 def eval_word(s: MatrixSet, word: Sequence[int]) -> np.ndarray:
@@ -209,7 +163,7 @@ def eval_word(s: MatrixSet, word: Sequence[int]) -> np.ndarray:
     w = validate_word(word, s.size)
     out = np.eye(s.dim, dtype=np.complex128)
     for i in w:
-        out = s.members[i].entries @ out
+        out = s.stack[i] @ out
     return out
 
 
@@ -290,7 +244,7 @@ def spectral_radius(a) -> float:
     Raises EigensolverError if the QR iteration fails; the failure is never
     masked as a zero.
     """
-    m = as_matrix(a).entries
+    m = _as_complex_stack([a])[0]
     try:
         ev = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -311,8 +265,7 @@ def batch_spectral_radii(stack: np.ndarray) -> np.ndarray:
 
 def operator_norm(a, n: NormSpec = SPECTRAL) -> float:
     """Operator norm of a single matrix under the given specification."""
-    m = as_matrix(a).entries
-    return float(batch_operator_norms(m[np.newaxis], n)[0])
+    return float(batch_operator_norms(_as_complex_stack([a]), n)[0])
 
 
 def batch_operator_norms(stack: np.ndarray, n: NormSpec = SPECTRAL) -> np.ndarray:

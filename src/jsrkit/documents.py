@@ -80,11 +80,8 @@ class InputDocument:
         cls, s: MatrixSet, labels: Sequence[str] | None = None, meta: dict | None = None
     ) -> "InputDocument":
         members = tuple(
-            tuple(
-                tuple([float(x.real), float(x.imag)] for x in row)
-                for row in m.entries
-            )
-            for m in s.members
+            tuple(tuple([float(x.real), float(x.imag)] for x in row) for row in m)
+            for m in s.stack
         )
         return cls(s.dim, "complex", None, members, _norm_labels(labels, len(members)), meta)
 

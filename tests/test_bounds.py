@@ -321,8 +321,9 @@ def test_conjugation_search_triangular():
     s = MatrixSet.from_arrays([[[1, 100], [0, 0.5]]])
     g, value = conjugation_search(s, iterations=60)
     assert value <= 1.5
+    assert g.dtype == np.complex128 and not g.flags.writeable
     # reproducibility: conjugating by the returned g gives the same norm
-    conj = conjugated(s, g.entries)
+    conj = conjugated(s, g)
     assert set_norm(conj) == pytest.approx(value, rel=1e-9)
 
 
@@ -444,8 +445,8 @@ def test_barabanov_unipotent_slack_shrinks():
     for _ in range(50):
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         vx = deep.evaluate(x)
-        for m in s.members:
-            assert deep.evaluate(m.entries @ x) <= PHI * vx * (1 + deep.slack + 1e-9)
+        for m in s.stack:
+            assert deep.evaluate(m @ x) <= PHI * vx * (1 + deep.slack + 1e-9)
 
 
 def test_barabanov_rejects_bad_rho():

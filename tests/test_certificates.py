@@ -59,6 +59,7 @@ def unipotent_pair(scale=1.0):
 
 def test_residual_certificate_exact_eigenpair():
     cert = residual_certificate(np.diag([1.0, 0.0]), [1, 0], 1.0)
+    assert not cert.a.flags.writeable
     assert cert.residual == 0.0
     assert cert.eps == 0.0
     assert cert.bound == 1.0
@@ -82,8 +83,12 @@ def test_residual_certificate_rejections_name_the_clause():
         residual_certificate(2 * np.eye(2), [1, 0], 1.0)
     with pytest.raises(ValueError, match="unit vector"):
         residual_certificate(np.eye(2), [1, 1], 1.0)
+    with pytest.raises(ValueError, match="unit vector"):
+        residual_certificate(np.eye(2), [np.nan, 0], 1.0)
     with pytest.raises(ValueError, match="lambda"):
         residual_certificate(np.eye(2), [1, 0], 3.0)
+    with pytest.raises(ValueError, match="lambda"):
+        residual_certificate(np.eye(2), [1, 0], complex(np.nan, 0))
 
 
 def test_residual_certificate_oracle_random_eigenpairs():

@@ -63,7 +63,7 @@ def rotation_doc(angle):
 def test_shift_family_structure():
     s = shift(3)
     assert s.size == 3
-    total = sum(m.entries for m in s.members)
+    total = s.stack.sum(axis=0)
     assert np.array_equal(
         total, np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
     )
@@ -84,16 +84,16 @@ def test_haar_samples_are_unitary():
 def test_unitary_mix_contents():
     s = unitary_mix(2, count=3, seed=1)
     assert s.size == 4
-    t = s.members[-1].entries
+    t = s.stack[-1]
     assert np.allclose(t, np.diag([0.5, 1.0 / 3.0]))
 
 
 def test_eps_identity_contents():
     s = eps_identity(2, eps=0.5, count=8, seed=0)
     assert s.size == 9
-    assert np.array_equal(s.members[0].entries, np.eye(2))
-    for m in s.members[1:]:
-        assert np.allclose(np.linalg.svd(m.entries, compute_uv=False), 0.5)
+    assert np.array_equal(s.stack[0], np.eye(2))
+    for m in s.stack[1:]:
+        assert np.allclose(np.linalg.svd(m, compute_uv=False), 0.5)
 
 
 def test_family_parameter_validation():

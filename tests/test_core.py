@@ -11,7 +11,6 @@ from jsrkit.core import (
     DIM_CAP,
     WORD_CAP,
     BudgetExceededError,
-    ComplexMatrix,
     EigensolverError,
     MatrixSet,
     NormSpec,
@@ -40,16 +39,17 @@ def elem(i, j, d):
 
 
 def test_matrix_validation():
+    for build in (lambda a: MatrixSet.from_arrays([a]), spectral_radius):
+        with pytest.raises(ValueError):
+            build(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            build(np.array([[np.inf, 0], [0, 0]]))
+        with pytest.raises(ValueError):
+            build(np.array([[np.nan, 0], [0, 0]]))
+    s = MatrixSet.from_arrays([[[1, 2], [3, 4]]])
+    assert s.dim == 2
     with pytest.raises(ValueError):
-        ComplexMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.array([[np.inf, 0], [0, 0]]))
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.array([[np.nan, 0], [0, 0]]))
-    m = ComplexMatrix([[1, 2], [3, 4]])
-    assert m.dim == 2
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 5.0  # read-only
+        s.stack[0, 0, 0] = 5.0  # read-only
 
 
 def test_matrix_set_validation():
@@ -57,11 +57,27 @@ def test_matrix_set_validation():
         MatrixSet.from_arrays([])
     with pytest.raises(ValueError):
         MatrixSet.from_arrays([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
-        MatrixSet.from_arrays([np.eye(40)])  # beyond the dimension cap
-    s = MatrixSet.from_arrays([np.eye(2), np.eye(2)])
-    assert s.warnings  # duplicates flagged, not rejected
-    assert s.size == 2
+    for build in (MatrixSet.from_arrays, MatrixSet):
+        with pytest.raises(ValueError):
+            build([np.eye(40)])  # beyond the dimension cap
+    eye = np.eye(2)
+    s = MatrixSet.from_arrays([eye, 2 * eye, eye, 2 * eye, -0.0 * eye, 0 * eye])
+    # duplicates flagged, not rejected; -0.0 equals 0.0
+    assert s.warnings == (
+        "members 0 and 2 are exact duplicates",
+        "members 1 and 3 are exact duplicates",
+        "members 4 and 5 are exact duplicates",
+    )
+    assert s.size == 6
+    assert s.scaled(2.0).warnings == s.warnings
+
+
+def test_matrix_set_copies_its_input():
+    source = np.stack([np.eye(2), 2 * np.eye(2)]).astype(complex)
+    s = MatrixSet.from_arrays(source)
+    source[0, 0, 0] = 7.0
+    assert np.array_equal(s.stack, np.stack([np.eye(2), 2 * np.eye(2)]))
+    assert s.stack.flags.c_contiguous and s.stack.dtype == np.complex128
 
 
 def test_eval_word_order():
@@ -72,6 +88,8 @@ def test_eval_word_order():
     assert np.array_equal(eval_word(s, ()), np.eye(2))
     with pytest.raises(ValueError):
         eval_word(s, (0, 2))
+    with pytest.raises(ValueError):
+        eval_word(s, (1.7, 0))  # never truncated to (1, 0)
 
 
 def test_spectral_radius_fibonacci():
@@ -250,9 +268,7 @@ def test_product_levels_match_eval_word():
     rng = np.random.default_rng(11)
     for m in (1, 2, 3):
         # small integer entries keep every product exact in any summation order
-        s = MatrixSet.from_arrays(
-            [rng.integers(-3, 4, (3, 3)) for _ in range(m)], check_duplicates=False
-        )
+        s = MatrixSet.from_arrays([rng.integers(-3, 4, (3, 3)) for _ in range(m)])
         levels = list(product_levels(s.stack, 4))
         assert [lv.shape for lv in levels] == [(m**k, 3, 3) for k in range(1, 5)]
         for k, level in enumerate(levels, start=1):

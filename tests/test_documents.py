@@ -43,7 +43,7 @@ def test_parse_complex_document():
     assert doc.meta == {"origin": "test"}
     s = doc.to_matrix_set()
     assert s.size == 2 and s.dim == 2
-    assert s.members[1].entries[0, 0] == 0.5 - 0.25j
+    assert s.stack[1, 0, 0] == 0.5 - 0.25j
 
 
 def test_parse_padic_document_normalizes():
@@ -80,8 +80,7 @@ def test_matrix_set_round_trip_values():
     s = MatrixSet.from_arrays(mats)
     doc = InputDocument.from_matrix_set(s, labels=["x", "y"])
     back = InputDocument.parse(doc.emit()).to_matrix_set()
-    for orig, rt in zip(s.members, back.members):
-        assert np.array_equal(orig.entries, rt.entries)
+    assert np.array_equal(s.stack, back.stack)
 
 
 def test_padic_set_round_trip_values():

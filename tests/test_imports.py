@@ -1,6 +1,8 @@
-"""Every name a jsrkit module or test imports is used in it or re-exported."""
+"""Every name a jsrkit module or test imports is used in it or re-exported,
+and every name a module exports exists there once."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,19 @@ def unused_imports(path: Path) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if "__all__" in p.read_text()],
+    ids=lambda p: p.name,
+)
+def test_all_names_resolve_once(path):
+    # unused_imports counts __all__ names as used, so a stale entry would
+    # hide an unused import
+    module = importlib.import_module(
+        "jsrkit" if path.stem == "__init__" else f"jsrkit.{path.stem}"
+    )
+    names = module.__all__
+    assert sorted({n for n in names if names.count(n) > 1}) == []
+    assert [n for n in names if not hasattr(module, n)] == []

@@ -40,13 +40,13 @@ def conjugated(s: MatrixSet, g) -> MatrixSet:
     """The set {g m g^-1 for m in s}, in member order."""
     g = np.asarray(g, dtype=np.complex128)
     g_inv = np.linalg.inv(g)
-    return MatrixSet.from_arrays([g @ m.entries @ g_inv for m in s.members])
+    return MatrixSet.from_arrays([g @ m @ g_inv for m in s.stack])
 
 
 def squared(s: MatrixSet) -> MatrixSet:
     """S^2, the products of every length-2 word, in the engine's row order."""
     _, level = product_levels(s.stack, 2)
-    return MatrixSet.from_arrays(list(level), check_duplicates=False)
+    return MatrixSet.from_arrays(level)
 
 
 def check_sandwich(n: int = 500, seed: int = 101):
