@@ -240,12 +240,10 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
             early_stop = True
             break
 
+    # every candidate keeps val >= best_low * (1 - 1e-12), so the first wins
     witness: Word = ()
-    final_cut = best_low * (1 - 1e-12)
-    for k, idx, val in candidates:
-        if val >= final_cut:
-            witness = word_from_index(idx, k, m)
-            break
+    if candidates:
+        witness = word_from_index(candidates[0][1], candidates[0][0], m)
 
     diagnostics = {
         "depth_reached": float(len(rows)),
@@ -533,19 +531,18 @@ def barabanov_approx(
 
 # --- nilpotency of the generated algebra -------------------------------------
 
+_TOL_RANK = 1e-8  # relative rank threshold of nilpotency_test
+_BAND = 10.0  # pivots within this factor of the threshold are indeterminate
+
 
 def _accept_directions(
-    cand: np.ndarray,
-    q: np.ndarray | None,
-    tol_factor: float,
-    band: float,
-    ref_scale: float,
+    cand: np.ndarray, q: np.ndarray | None, ref_scale: float
 ) -> np.ndarray | None:
     """Orthonormal new directions from candidate columns, or None if none.
 
     Rank decisions use a pivoted QR with threshold
-    ``tol_factor * max(ref_scale, max column norm)``; pivots falling inside
-    the band ``(threshold / band, threshold * band)`` raise
+    ``_TOL_RANK * max(ref_scale, max column norm)``; pivots falling inside
+    the band ``(threshold / _BAND, threshold * _BAND)`` raise
     IndeterminateRankError because the rank is not numerically well
     determined there.  ``ref_scale`` anchors the threshold to the scale of
     the generating set, so that a candidate which is tiny relative to the
@@ -561,27 +558,22 @@ def _accept_directions(
     if q is not None:
         cand = cand - q @ (q.conj().T @ cand)
         cand = cand - q @ (q.conj().T @ cand)  # re-orthogonalize once
-    threshold = tol_factor * max(ref_scale, cand_scale)
+    threshold = _TOL_RANK * max(ref_scale, cand_scale)
     qf, rf, _ = scipy.linalg.qr(cand, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rf))
-    inside_band = (diag > threshold / band) & (diag < threshold * band)
+    inside_band = (diag > threshold / _BAND) & (diag < threshold * _BAND)
     if inside_band.any():
         raise IndeterminateRankError(
             f"rank decision indeterminate: pivot magnitude within a factor "
-            f"{band:g} of the threshold {threshold:.3e}; rescale the input"
+            f"{_BAND:g} of the threshold {threshold:.3e}; rescale the input"
         )
-    rank = int((diag >= threshold * band).sum())
+    rank = int((diag >= threshold * _BAND).sum())
     if rank == 0:
         return None
     return qf[:, :rank]
 
 
-def nilpotency_test(
-    s: MatrixSet,
-    *,
-    tol_rank: float = 1e-8,
-    band: float = 10.0,
-) -> NilpotencyResult:
+def nilpotency_test(s: MatrixSet) -> NilpotencyResult:
     """Decide whether the algebra generated by the set is nilpotent.
 
     Builds a basis of span(S, S^2, ...) by saturating left-multiplication,
@@ -594,7 +586,7 @@ def nilpotency_test(
     mats = s.stack
     ref = max(float(np.linalg.norm(m)) for m in mats)
 
-    q = _accept_directions(mats.reshape(s.size, -1).T, None, tol_rank, band, ref)
+    q = _accept_directions(mats.reshape(s.size, -1).T, None, ref)
     if q is None:
         # every member is (numerically) zero
         return NilpotencyResult(True, 0)
@@ -603,7 +595,7 @@ def nilpotency_test(
         cand = np.stack(
             [(m @ b).reshape(-1) for m in mats for b in basis], axis=1
         )
-        new = _accept_directions(cand, q, tol_rank, band, ref)
+        new = _accept_directions(cand, q, ref)
         if new is None:
             break
         q = np.concatenate([q, new], axis=1)
@@ -617,7 +609,7 @@ def nilpotency_test(
         cand = np.stack(
             [(a @ w).reshape(-1) for a in algebra for w in mats_layer], axis=1
         )
-        layer = _accept_directions(cand, None, tol_rank, band, ref)
+        layer = _accept_directions(cand, None, ref)
         if layer is None:
             return NilpotencyResult(True, algebra_dim)
     return NilpotencyResult(False, algebra_dim)

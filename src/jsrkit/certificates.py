@@ -261,7 +261,6 @@ def convex_hull_bound_check(
     samples: int = 200,
     seed: int = 0,
     *,
-    tol_rel: float = TOL_REL,
     word_cap: int = WORD_CAP,
 ) -> HullCheckReport:
     """Sample the complex convex hull of S u S^2 u ... u S^n against 2*d*eps.
@@ -293,11 +292,13 @@ def convex_hull_bound_check(
         max_ratio = max_radius / bound
     else:
         max_ratio = 0.0 if max_radius == 0.0 else math.inf
-    ok = max_radius <= bound * (1.0 + tol_rel)
+    ok = max_radius <= bound * (1.0 + TOL_REL)
     return HullCheckReport(ok, eps, bound, max_radius, max_ratio, samples, seed)
 
 
 # --- trajectory return search -------------------------------------------------
+
+_MAX_RESTARTS = 8  # fresh directions trajectory_return_search may try
 
 
 class ReturnSearchResult(NamedTuple):
@@ -345,7 +346,6 @@ def trajectory_return_search(
     x0=None,
     seed: int = 0,
     *,
-    max_restarts: int = 8,
     k_best: int = 64,
 ) -> ReturnSearchResult:
     """Hunt for a word whose product nearly fixes a direction.
@@ -363,7 +363,7 @@ def trajectory_return_search(
     (the working norm); the caller should rescale ``s`` so its joint
     spectral radius is near 1, since a trajectory whose working norm decays
     below 1/2 is abandoned and restarted from a fresh random direction (at
-    most ``max_restarts`` times).  Certificates themselves are always in
+    most ``_MAX_RESTARTS`` times).  Certificates themselves are always in
     the spectral norm.  Raises ValueError if every trajectory dies
     immediately (all member images vanish), as for the zero set.
     """
@@ -401,7 +401,7 @@ def trajectory_return_search(
             wscale *= wvals[best] / wx
         if wscale < 0.5:
             segments.append((points, letters))
-            if restarts >= max_restarts:
+            if restarts >= _MAX_RESTARTS:
                 break
             restarts += 1
             x = fresh()

@@ -282,9 +282,7 @@ def cmd_padic(args) -> int:
     def one(doc):
         ps = doc.to_padic_set()
         if args.prime is not None:
-            ps = PAdicMatrixSet.from_rows(
-                [[list(row) for row in m] for m in ps.members], args.prime
-            )
+            ps = PAdicMatrixSet(ps.stack, args.prime)
         boca = check_ultra_boca(ps, word_cap=args.cap)
         nilpotent = padic_nilpotency_exact(ps)
         bottom = boca.rho.is_bottom
@@ -316,15 +314,14 @@ def cmd_padic(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    spec = build_family(
+    doc = build_family(
         args.family, dim=args.dim, eps=args.eps, count=args.count, seed=args.seed
     )
-    doc = InputDocument.from_matrix_set(spec.matrices, labels=spec.labels, meta=spec.meta)
     text = doc.emit()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
-        _note(args.quiet, f"wrote {args.family} (dim {spec.matrices.dim}) to {args.out}")
+        _note(args.quiet, f"wrote {args.family} (dim {doc.dim}) to {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

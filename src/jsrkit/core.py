@@ -196,6 +196,8 @@ class NormSpec:
             g = np.array(self.g, dtype=np.complex128, copy=True)
             if g.ndim != 2 or g.shape[0] != g.shape[1]:
                 raise ValueError("ellipsoidal factor must be square")
+            if not np.isfinite(g).all():
+                raise ValueError("ellipsoidal factor entries must be finite")
             sv = np.linalg.svd(g, compute_uv=False)
             if sv[-1] <= 0 or sv[0] / sv[-1] > COND_CAP:
                 raise ValueError(

@@ -3,9 +3,13 @@
 An input document is a single JSON object with a "format" field, a
 dimension, a scalar field marker, and the member matrices: complex entries
 travel as [re, im] decimal pairs (no locale or parsing ambiguity), exact
-rational entries as "a/b" strings.  Parsing normalizes entries, so
-emission is canonical: parse(emit(doc)) emits byte-identical text, and the
-sha256 of that text identifies the input in reports.
+rational entries as "a/b" strings.  ``InputDocument.parse`` checks every
+field, naming the offending one in its ParseError, and builds the set the
+document describes: a ``MatrixSet`` or a ``PAdicMatrixSet``.  The document
+holds that set with its labels and metadata and reads dimension, field and
+prime from it; emission serialises the set's stack, so it is canonical:
+parse(emit(doc)) emits byte-identical text, and the sha256 of that text
+identifies the input in reports.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -53,49 +56,48 @@ def _canonical_complex(entry, path: str) -> list:
     return [re, im]
 
 
-def _canonical_rational(entry, path: str) -> str:
+def _canonical_rational(entry, path: str) -> Fraction:
     if isinstance(entry, bool) or not isinstance(entry, (int, str)):
         _fail(path, "expected an integer or an 'a/b' string")
     try:
-        return str(as_rational(entry))
+        return as_rational(entry)
     except (ValueError, ZeroDivisionError) as exc:
         _fail(path, f"not a rational: {exc}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputDocument:
-    """A parsed, normalized matrix-set document."""
+    """A matrix set with the labels and metadata its document carries.
 
-    dim: int
-    field_kind: str  # "complex" or "rational_padic"
-    prime: int | None
-    members: tuple  # rows of [re, im] lists, or rows of canonical strings
+    ``matrices`` is a ``MatrixSet`` (field "complex") or a
+    ``PAdicMatrixSet`` (field "rational_padic"); the document's dimension,
+    field and prime are read from it, and emission serialises its stack.
+    """
+
+    matrices: MatrixSet | PAdicMatrixSet
     labels: tuple | None = None
     meta: dict | None = None
 
-    # -- construction ----------------------------------------------------
+    def __post_init__(self):
+        if self.labels is not None:
+            labels = tuple(str(x) for x in self.labels)
+            if len(labels) != self.matrices.size:
+                raise ValueError(
+                    f"expected {self.matrices.size} labels, got {len(labels)}"
+                )
+            object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def from_matrix_set(
-        cls, s: MatrixSet, labels: Sequence[str] | None = None, meta: dict | None = None
-    ) -> "InputDocument":
-        members = tuple(
-            tuple(tuple([float(x.real), float(x.imag)] for x in row) for row in m)
-            for m in s.stack
-        )
-        return cls(s.dim, "complex", None, members, _norm_labels(labels, len(members)), meta)
+    @property
+    def dim(self) -> int:
+        return self.matrices.dim
 
-    @classmethod
-    def from_padic_set(
-        cls,
-        s: PAdicMatrixSet,
-        labels: Sequence[str] | None = None,
-        meta: dict | None = None,
-    ) -> "InputDocument":
-        members = tuple(
-            tuple(tuple(str(x) for x in row) for row in m) for m in s.members
-        )
-        return cls(s.dim, "rational_padic", s.prime, members, _norm_labels(labels, len(members)), meta)
+    @property
+    def field_kind(self) -> str:
+        return "complex" if isinstance(self.matrices, MatrixSet) else "rational_padic"
+
+    @property
+    def prime(self) -> int | None:
+        return None if isinstance(self.matrices, MatrixSet) else self.matrices.prime
 
     # -- parsing ---------------------------------------------------------
 
@@ -134,6 +136,7 @@ class InputDocument:
         raw_members = obj.get("members")
         if not isinstance(raw_members, list) or not raw_members:
             _fail("members", "expected a nonempty list of matrices")
+        entry = _canonical_complex if kind == "complex" else _canonical_rational
         members = []
         for mi, mat in enumerate(raw_members):
             if not isinstance(mat, list) or len(mat) != dim:
@@ -142,21 +145,10 @@ class InputDocument:
             for ri, row in enumerate(mat):
                 if not isinstance(row, list) or len(row) != dim:
                     _fail(f"members[{mi}][{ri}]", f"expected {dim} entries")
-                if kind == "complex":
-                    rows.append(
-                        tuple(
-                            _canonical_complex(x, f"members[{mi}][{ri}][{ci}]")
-                            for ci, x in enumerate(row)
-                        )
-                    )
-                else:
-                    rows.append(
-                        tuple(
-                            _canonical_rational(x, f"members[{mi}][{ri}][{ci}]")
-                            for ci, x in enumerate(row)
-                        )
-                    )
-            members.append(tuple(rows))
+                rows.append(
+                    [entry(x, f"members[{mi}][{ri}][{ci}]") for ci, x in enumerate(row)]
+                )
+            members.append(rows)
 
         labels = obj.get("labels")
         if labels is not None:
@@ -164,50 +156,40 @@ class InputDocument:
                 not isinstance(x, str) for x in labels
             ):
                 _fail("labels", "expected one string per member")
-            labels = tuple(labels)
 
         meta = obj.get("meta")
         if meta is not None and not isinstance(meta, dict):
             _fail("meta", "expected an object")
 
-        return cls(dim, kind, prime, tuple(members), labels, meta)
+        if kind == "complex":
+            # [re, im] float pairs viewed as complex keep signed zeros exactly
+            pairs = np.array(members, dtype=np.float64)
+            return cls(MatrixSet(pairs.view(np.complex128)[..., 0]), labels, meta)
+        return cls(PAdicMatrixSet(members, prime), labels, meta)
 
     # -- conversion ------------------------------------------------------
 
     def to_matrix_set(self) -> MatrixSet:
         if self.field_kind != "complex":
             raise ParseError("field: this command needs a complex-field document")
-        mats = [
-            np.array(
-                [[complex(e[0], e[1]) for e in row] for row in m],
-                dtype=np.complex128,
-            )
-            for m in self.members
-        ]
-        return MatrixSet.from_arrays(mats)
+        return self.matrices
 
     def to_padic_set(self) -> PAdicMatrixSet:
         if self.field_kind != "rational_padic":
             raise ParseError("field: this command needs a rational_padic document")
-        return PAdicMatrixSet.from_rows(
-            [[[Fraction(x) for x in row] for row in m] for m in self.members],
-            self.prime,
-        )
+        return self.matrices
 
     # -- emission ----------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        field = (
-            "complex"
-            if self.field_kind == "complex"
-            else {"kind": "rational_padic", "prime": self.prime}
-        )
-        obj = {
-            "format": FORMAT_VERSION,
-            "dim": self.dim,
-            "field": field,
-            "members": [[list(row) for row in m] for m in self.members],
-        }
+        stack = self.matrices.stack
+        if self.field_kind == "complex":
+            field = "complex"
+            members = np.stack([stack.real, stack.imag], axis=-1).tolist()
+        else:
+            field = {"kind": "rational_padic", "prime": self.prime}
+            members = [[[str(x) for x in row] for row in m] for m in stack.tolist()]
+        obj = {"format": FORMAT_VERSION, "dim": self.dim, "field": field, "members": members}
         if self.labels is not None:
             obj["labels"] = list(self.labels)
         if self.meta is not None:
@@ -222,15 +204,6 @@ class InputDocument:
 
     def digest(self) -> str:
         return hashlib.sha256(self.emit().encode()).hexdigest()
-
-
-def _norm_labels(labels, n: int):
-    if labels is None:
-        return None
-    labels = tuple(str(x) for x in labels)
-    if len(labels) != n:
-        raise ValueError(f"expected {n} labels, got {len(labels)}")
-    return labels
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,20 @@ cyclic shift pattern, a sampled unitary group together with a strict
 contraction, a scaled sampled unitary group adjoined to the identity, and
 the unipotent pair in SL2.  The unitary families stand in for an infinite
 group by finite Haar samples, so their constructors take a seed and count
-and the metadata records that caveat.
+and the metadata records that caveat.  Each constructor returns a
+``MatrixSet``; ``build_family`` returns the ``InputDocument`` of a named
+family, the set with its member labels and metadata.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .core import MatrixSet
+from .documents import InputDocument
 
 __all__ = [
     "FAMILY_NAMES",
-    "FamilySpec",
     "build_family",
     "elementary",
     "eps_identity",
@@ -78,19 +78,13 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def unitary_mix(
-    d: int, count: int = 8, seed: int = 0, alphas: tuple | None = None
-) -> MatrixSet:
+def unitary_mix(d: int, count: int = 8, seed: int = 0) -> MatrixSet:
     """Sampled unitaries together with the contraction diag(1/2, 1/3, ...)."""
     if d < 1 or count < 1:
         raise ValueError("need d >= 1 and count >= 1")
-    if alphas is None:
-        alphas = tuple(1.0 / (i + 2) for i in range(d))
-    if len(alphas) != d or any(abs(a) >= 1 for a in alphas):
-        raise ValueError("alphas must be d values of modulus < 1")
     rng = np.random.default_rng(seed)
     mats = [haar_unitary(d, rng) for _ in range(count)]
-    mats.append(np.diag(np.asarray(alphas, dtype=np.complex128)))
+    mats.append(np.diag([1.0 / (i + 2) for i in range(d)]))
     return MatrixSet.from_arrays(mats)
 
 
@@ -113,16 +107,10 @@ def unipotent_pair(scale: float = 1.0) -> MatrixSet:
     return MatrixSet.from_arrays([scale * a, scale * b])
 
 
-class FamilySpec(NamedTuple):
-    matrices: MatrixSet
-    labels: tuple
-    meta: dict
-
-
 def build_family(
     name: str, dim: int = 2, eps: float = 0.5, count: int = 8, seed: int = 0
-) -> FamilySpec:
-    """Construct a named family plus the labels/metadata its document carries."""
+) -> InputDocument:
+    """The document of a named family: its set, member labels and metadata."""
     if name == "elementary":
         s = elementary(dim)
         labels = tuple(f"E{i + 1}{j + 1}" for i in range(dim) for j in range(dim))
@@ -160,4 +148,4 @@ def build_family(
         meta = {"family": name, "dim": 2}
     else:
         raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-    return FamilySpec(s, labels, meta)
+    return InputDocument(s, labels, meta)

@@ -279,11 +279,8 @@ def char_poly_exact(matrix) -> tuple:
     ``matrix`` is a square array of rationals (ints, Fractions, or "a/b"
     strings).  coeffs[i] multiplies t^i and coeffs[-1] == 1.
     """
-    rows = [[as_rational(x) for x in row] for row in matrix]
-    d = len(rows)
-    if any(len(r) != d for r in rows) or d == 0:
-        raise ValueError("matrix must be square and nonempty")
-    flat = tuple(x for row in rows for x in row)
+    a = _as_rational_stack([matrix])[0]
+    d, flat = a.shape[0], a.ravel().tolist()
     # det(tI - DA) has coefficients D^(d-i) c_i, where c_i are A's
     den = _lcm_denominator(flat)
     coeffs = _char_coeffs_flat(_times(flat, den), d)
@@ -293,37 +290,47 @@ def char_poly_exact(matrix) -> tuple:
 # --- matrix sets over Q -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _as_rational_stack(members) -> np.ndarray:
+    """``members`` as a read-only (m, d, d) object array of Fractions, with
+    m, d >= 1; every entry goes through ``as_rational``."""
+    mats = [[[as_rational(x) for x in row] for row in m] for m in members]
+    if not mats:
+        raise ValueError("need at least one member")
+    if any(not m or any(len(r) != len(m) for r in m) for m in mats):
+        raise ValueError("members must be square and nonempty")
+    if any(len(m) != len(mats[0]) for m in mats):
+        raise ValueError("members must share a dimension")
+    stack = np.array(mats, dtype=object)
+    stack.flags.writeable = False
+    return stack
+
+
+@dataclass(frozen=True, eq=False)
 class PAdicMatrixSet:
-    """A finite set of d x d rational matrices together with a prime."""
+    """A finite set of d x d rational matrices together with a prime.
 
-    dim: int
+    ``stack`` holds the members, in their given order, as one read-only
+    (size, d, d) object array of Fractions; words index into it as they do
+    into ``MatrixSet.stack``.  Entries may be given as ints, Fractions or
+    "a/b" strings, never floats.
+    """
+
+    stack: np.ndarray
     prime: int
-    members: tuple  # tuple of matrices, each a tuple of row tuples of Fraction
 
-    @classmethod
-    def from_rows(cls, members: Sequence, prime: int) -> "PAdicMatrixSet":
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
-        if len(members) == 0:
-            raise ValueError("need at least one member")
-        parsed = []
-        dim = None
-        for m in members:
-            rows = tuple(tuple(as_rational(x) for x in row) for row in m)
-            d = len(rows)
-            if d == 0 or any(len(r) != d for r in rows):
-                raise ValueError("members must be square and nonempty")
-            if dim is None:
-                dim = d
-            elif d != dim:
-                raise ValueError("members must share a dimension")
-            parsed.append(rows)
-        return cls(dim, int(prime), tuple(parsed))
+    def __post_init__(self):
+        if not is_prime(self.prime):
+            raise ValueError(f"{self.prime} is not prime")
+        object.__setattr__(self, "stack", _as_rational_stack(self.stack))
+        object.__setattr__(self, "prime", int(self.prime))
+
+    @property
+    def dim(self) -> int:
+        return self.stack.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.stack.shape[0]
 
     @functools.cached_property
     def _scaled(self) -> tuple[int | None, np.ndarray]:
@@ -333,11 +340,9 @@ class PAdicMatrixSet:
         the kernels run on the scaled members and shift back.  They come as
         one read-only (size, dim, dim) object array of Python ints.  shift
         is None for the zero set."""
-        entries = [x for mem in self.members for row in mem for x in row]
+        entries = self.stack.ravel().tolist()
         den = _lcm_denominator(entries)
-        ints = np.array(_times(entries, den), dtype=object).reshape(
-            self.size, self.dim, self.dim
-        )
+        ints = np.array(_times(entries, den), dtype=object).reshape(self.stack.shape)
         vmin = int(_valuations(ints.reshape(1, -1), self.prime)[0])
         shift = None
         if vmin >= 0:

@@ -247,7 +247,7 @@ def test_exact_padic_suite():
             [[int(rng.integers(-9, 10)) for _ in range(d)] for _ in range(d)]
             for _ in range(2)
         ]
-        s = PAdicMatrixSet.from_rows(rows, p)
+        s = PAdicMatrixSet(rows, p)
         got = padic_jsr_exact(s)
         # doubling the sweep depth must not change the exact value
         again = padic_jsr_exact(s, ell=2 * ell_bound(d))
@@ -281,7 +281,7 @@ def test_cli_round_trip_exit_codes_determinism(capsys, tmp_path):
         assert code == 0
         assert InputDocument.parse(out).emit() == out
 
-    doc = InputDocument.from_matrix_set(unipotent_pair())
+    doc = InputDocument(unipotent_pair())
     path = tmp_path / "pair.json"
     path.write_text(doc.emit())
 
@@ -305,9 +305,9 @@ def test_cli_round_trip_exit_codes_determinism(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", str(bad))
     assert code == 1 and "bad.json" in err
 
-    ps = PAdicMatrixSet.from_rows([[[2, 1], [0, 2]], [[1, 0], [1, 1]]], 2)
+    ps = PAdicMatrixSet([[[2, 1], [0, 2]], [[1, 0], [1, 1]]], 2)
     ppath = tmp_path / "padic.json"
-    ppath.write_text(InputDocument.from_padic_set(ps).emit())
+    ppath.write_text(InputDocument(ps).emit())
     code, _, err = run_cli(capsys, "padic", str(ppath), "--cap", "3")
     assert code == 4 and "budget" in err
 

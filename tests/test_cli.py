@@ -54,7 +54,7 @@ def write_doc(tmp_path, name, doc):
 def rotation_doc(angle):
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    return InputDocument.from_matrix_set(MatrixSet.from_arrays([rot]))
+    return InputDocument(MatrixSet.from_arrays([rot]))
 
 
 # --- families -------------------------------------------------------------------
@@ -120,10 +120,11 @@ def test_examples_round_trip_all_families(capsys):
 def test_examples_match_library_builders(capsys):
     _, out, _ = run(capsys, "examples", "shift", "--dim", "4", "--quiet")
     doc = InputDocument.parse(out)
-    lib = InputDocument.from_matrix_set(
-        shift(4), labels=doc.labels, meta=doc.meta
-    )
+    lib = InputDocument(shift(4), labels=doc.labels, meta=doc.meta)
     assert lib.emit() == out
+    for family in FAMILY_NAMES:
+        _, out, _ = run(capsys, "examples", family, "--quiet")
+        assert build_family(family).emit() == out
 
 
 def test_examples_out_flag_writes_file(tmp_path, capsys):
@@ -144,7 +145,7 @@ def test_examples_rejects_unknown_family():
 
 def test_estimate_shift_is_tight(tmp_path, capsys):
     spec = build_family("shift", dim=3)
-    path = write_doc(tmp_path, "s.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "s.json", InputDocument(spec.matrices))
     code, out, err = run(capsys, "estimate", path, "--depth", "6")
     assert code == 0
     rep = reports(out)[0]
@@ -156,7 +157,7 @@ def test_estimate_shift_is_tight(tmp_path, capsys):
 
 
 def test_estimate_zero_matrix(tmp_path, capsys):
-    doc = InputDocument.from_matrix_set(
+    doc = InputDocument(
         MatrixSet.from_arrays([np.zeros((2, 2), dtype=complex)])
     )
     path = write_doc(tmp_path, "z.json", doc)
@@ -168,7 +169,7 @@ def test_estimate_zero_matrix(tmp_path, capsys):
 
 def test_estimate_unipotent_pair(tmp_path, capsys):
     spec = build_family("unipotent-pair")
-    path = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))
     code, out, _ = run(capsys, "estimate", path, "--depth", "12", "--quiet")
     iv = reports(out)[0]["results"]["interval"]
     assert code == 0
@@ -178,7 +179,7 @@ def test_estimate_unipotent_pair(tmp_path, capsys):
 
 def test_estimate_optional_sections(tmp_path, capsys):
     spec = build_family("unipotent-pair")
-    path = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))
     code, out, _ = run(
         capsys, "estimate", path, "--depth", "6", "--conjugation", "--barabanov", "--quiet"
     )
@@ -195,7 +196,7 @@ def test_estimate_multiple_inputs_and_csv(tmp_path, capsys):
     for d in (2, 3):
         spec = build_family("shift", dim=d)
         paths.append(
-            write_doc(tmp_path, f"s{d}.json", InputDocument.from_matrix_set(spec.matrices))
+            write_doc(tmp_path, f"s{d}.json", InputDocument(spec.matrices))
         )
     csv_path = tmp_path / "summary.csv"
     code, out, _ = run(
@@ -212,7 +213,7 @@ def test_estimate_multiple_inputs_and_csv(tmp_path, capsys):
 
 
 def test_certify_identity_polbd(tmp_path, capsys):
-    doc = InputDocument.from_matrix_set(
+    doc = InputDocument(
         MatrixSet.from_arrays([np.eye(2, dtype=complex)])
     )
     path = write_doc(tmp_path, "i.json", doc)
@@ -223,7 +224,7 @@ def test_certify_identity_polbd(tmp_path, capsys):
 
 def test_certify_elementary_boca(tmp_path, capsys):
     spec = build_family("elementary", dim=2)
-    path = write_doc(tmp_path, "e.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "e.json", InputDocument(spec.matrices))
     code, out, _ = run(capsys, "certify", path, "--theorem", "boca", "--quiet")
     assert code == 0
     assert reports(out)[0]["results"]["report"]["verdict"] == "CONFIRMED"
@@ -242,7 +243,7 @@ def test_certify_rotation_bgel_emits_witness(tmp_path, capsys):
 
 def test_certify_inconclusive_exit_code(tmp_path, capsys):
     spec = build_family("unipotent-pair")
-    path = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))
     code, out, _ = run(
         capsys, "certify", path, "--theorem", "bgel", "--depth", "2", "--quiet"
     )
@@ -252,7 +253,7 @@ def test_certify_inconclusive_exit_code(tmp_path, capsys):
 
 def test_certify_bgel_without_a_level_is_a_budget_error(tmp_path, capsys):
     spec = build_family("unipotent-pair")
-    path = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))
     for theorem in ("polbd", "boca", "bgel"):
         code, out, err = run(capsys, "certify", path, "--theorem", theorem, "--cap", "1")
         assert code == 4, theorem
@@ -262,7 +263,7 @@ def test_certify_bgel_without_a_level_is_a_budget_error(tmp_path, capsys):
 def test_certify_boca_reports_an_overflowing_rhs(tmp_path, capsys):
     # ||S||^(n1 - 1) = (1e45)^7 is past the float range
     big = np.array([[0, 1e45], [0, 0]], dtype=complex)
-    doc = InputDocument.from_matrix_set(MatrixSet.from_arrays([big, np.eye(2)]))
+    doc = InputDocument(MatrixSet.from_arrays([big, np.eye(2)]))
     path = write_doc(tmp_path, "big.json", doc)
     code, out, err = run(capsys, "certify", path, "--theorem", "boca")
     assert code == 0
@@ -275,10 +276,10 @@ def test_certify_boca_reports_an_overflowing_rhs(tmp_path, capsys):
 def test_certify_exit_code_is_the_worst_over_inputs(tmp_path, capsys):
     ident = write_doc(
         tmp_path, "i.json",
-        InputDocument.from_matrix_set(MatrixSet.from_arrays([np.eye(2, dtype=complex)])),
+        InputDocument(MatrixSet.from_arrays([np.eye(2, dtype=complex)])),
     )
     spec = build_family("unipotent-pair")
-    pair = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    pair = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))
     for paths in ([ident, pair], [pair, ident]):
         code, out, _ = run(
             capsys, "certify", *paths, "--theorem", "bgel", "--depth", "2", "--quiet"
@@ -290,7 +291,7 @@ def test_certify_exit_code_is_the_worst_over_inputs(tmp_path, capsys):
 def test_certify_csv_has_one_row_per_input_in_order(tmp_path, capsys):
     paths = [
         write_doc(tmp_path, f"{name}.json",
-                  InputDocument.from_matrix_set(build_family(name).matrices))
+                  InputDocument(build_family(name).matrices))
         for name in ("unipotent-pair", "elementary")
     ]
     csv_path = tmp_path / "c.csv"
@@ -451,7 +452,7 @@ def test_missing_file_exit(capsys):
 
 def test_failing_input_ends_the_batch_without_csv(tmp_path, capsys):
     spec = build_family("shift", dim=2)
-    good = write_doc(tmp_path, "s.json", InputDocument.from_matrix_set(spec.matrices))
+    good = write_doc(tmp_path, "s.json", InputDocument(spec.matrices))
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": 1')
     csv_path = tmp_path / "summary.csv"
@@ -468,7 +469,7 @@ def test_failing_input_ends_the_batch_without_csv(tmp_path, capsys):
 @pytest.mark.parametrize("depth", ["0", "-2"])
 def test_depth_below_one_is_a_usage_error(tmp_path, capsys, command, depth):
     spec = build_family("unipotent-pair")
-    path = write_doc(tmp_path, "u.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))
     extra = ["--theorem", "polbd"] if command == "certify" else []
     code, out, err = run(capsys, command, path, *extra, "--depth", depth)
     assert code == 1
@@ -479,7 +480,7 @@ def test_depth_below_one_is_a_usage_error(tmp_path, capsys, command, depth):
 def test_wrong_field_for_command_exit(tmp_path, capsys):
     path = tmp_path / "c.json"
     spec = build_family("shift", dim=2)
-    path.write_text(InputDocument.from_matrix_set(spec.matrices).emit())
+    path.write_text(InputDocument(spec.matrices).emit())
     code, _, err = run(capsys, "padic", str(path), "--quiet")
     assert code == 1
     assert "rational_padic" in err
@@ -487,10 +488,7 @@ def test_wrong_field_for_command_exit(tmp_path, capsys):
 
 def test_reports_are_deterministic(tmp_path, capsys):
     spec = build_family("unitary-mix", dim=2, count=4, seed=3)
-    path = write_doc(
-        tmp_path, "m.json",
-        InputDocument.from_matrix_set(spec.matrices, labels=spec.labels, meta=spec.meta),
-    )
+    path = write_doc(tmp_path, "m.json", spec)
     outs = []
     for _ in range(2):
         code, out, _ = run(
@@ -506,7 +504,7 @@ def test_reports_are_deterministic(tmp_path, capsys):
 
 def test_quiet_suppresses_diagnostics(tmp_path, capsys):
     spec = build_family("shift", dim=2)
-    path = write_doc(tmp_path, "s.json", InputDocument.from_matrix_set(spec.matrices))
+    path = write_doc(tmp_path, "s.json", InputDocument(spec.matrices))
     _, _, err_loud = run(capsys, "estimate", path, "--depth", "4")
     _, _, err_quiet = run(capsys, "estimate", path, "--depth", "4", "--quiet")
     assert err_loud != ""

@@ -119,6 +119,14 @@ def test_ellipsoidal_validation():
         NormSpec.ellipsoidal(np.diag([1e9, 1e-9]))  # condition number too large
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.nan)])
+def test_ellipsoidal_factor_must_be_finite(bad):
+    # numpy's LinAlgError is a ValueError too, so the message is what tells
+    # a named rejection from an SVD that failed to converge
+    with pytest.raises(ValueError, match="ellipsoidal factor entries must be finite"):
+        NormSpec.ellipsoidal(np.diag([bad, 1.0]))
+
+
 def test_vector_norms():
     x = np.array([3, -4j])
     assert vector_norm(x, NormSpec.spectral()) == pytest.approx(5.0)

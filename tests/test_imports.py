@@ -1,5 +1,6 @@
 """Every name a jsrkit module or test imports is used in it or re-exported,
-and every name a module exports exists there once."""
+every name a module exports exists there once, and every private top-level
+name of a module is read somewhere in the package."""
 
 import ast
 import importlib
@@ -57,3 +58,40 @@ def test_all_names_resolve_once(path):
     names = module.__all__
     assert sorted({n for n in names if names.count(n) > 1}) == []
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+def module_private_names(tree: ast.Module) -> set[str]:
+    """Names like ``_x`` (not dunders) that a module defines at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_no_dead_private_helpers():
+    # a private module-level name nothing in the package reads is dead code
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    used = set().union(*(referenced_names(t) for t in trees.values()))
+    dead = [
+        f"{name}: {helper}"
+        for name, tree in sorted(trees.items())
+        for helper in sorted(module_private_names(tree) - used)
+    ]
+    assert dead == []

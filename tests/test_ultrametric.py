@@ -15,6 +15,7 @@ import pytest
 
 from jsrkit import ultrametric
 from jsrkit.core import BudgetExceededError, product_levels, word_from_index
+from jsrkit.documents import InputDocument
 from jsrkit.ultrametric import (
     BOTTOM,
     NewtonPolygon,
@@ -34,7 +35,7 @@ from jsrkit.ultrametric import (
 
 
 def intset(mats, p):
-    return PAdicMatrixSet.from_rows(mats, p)
+    return PAdicMatrixSet(mats, p)
 
 
 def rand_int_set(rng, d, p, m=2, lo=-9, hi=9):
@@ -56,7 +57,7 @@ def word_product(s, word):
     d = s.dim
     out = tuple(tuple(Fraction(int(r == c)) for c in range(d)) for r in range(d))
     for letter in word:
-        out = fraction_matmul(s.members[letter], out)
+        out = fraction_matmul(s.stack[letter], out)
     return out
 
 
@@ -74,7 +75,7 @@ def brute_force(s):
     prods = {(): word_product(s, ())}
     for k in range(1, ell_bound(s.dim) + 1):
         for w in itertools.product(range(s.size), repeat=k):
-            prods[w] = fraction_matmul(s.members[w[-1]], prods[w[:-1]])
+            prods[w] = fraction_matmul(s.stack[w[-1]], prods[w[:-1]])
             lam = max_root_magnitude(char_poly_exact(prods[w]), s.prime).root(k)
             if best < lam:
                 best, attained = lam, []
@@ -85,13 +86,13 @@ def brute_force(s):
 
 def fraction_levels(s, depth):
     """``core.product_levels`` run on the members as a Fraction stack."""
-    return product_levels(np.array(s.members, dtype=object), depth)
+    return product_levels(s.stack, depth)
 
 
 def power_set(s, k):
     """S^k, the products of every length-k word, as a PAdicMatrixSet."""
     *_, level = fraction_levels(s, k)
-    return PAdicMatrixSet.from_rows(list(level), s.prime)
+    return PAdicMatrixSet(level, s.prime)
 
 
 # --- rationals and valuations ---------------------------------------------------
@@ -347,17 +348,30 @@ def test_newton_slope_sum_is_det_valuation():
 
 
 def test_matrix_set_parsing_and_validation():
-    s = PAdicMatrixSet.from_rows([[["1/2",0], [0, 1]]], 2)
+    s = PAdicMatrixSet([[["1/2",0], [0, 1]]], 2)
     assert s.dim == 2 and s.size == 1
-    assert s.members[0][0][0] == Fraction(1, 2)
+    assert s.stack[0][0][0] == Fraction(1, 2)
+    with pytest.raises(ValueError, match="not prime"):
+        PAdicMatrixSet([[[1]]], 4)  # composite prime
+    with pytest.raises(ValueError, match="at least one"):
+        PAdicMatrixSet([], 2)
+    with pytest.raises(ValueError, match="share a dimension"):
+        PAdicMatrixSet([[[1, 0], [0, 1]], [[1]]], 2)
+    with pytest.raises(ValueError, match="square"):
+        PAdicMatrixSet([[[1, 2, 3], [4, 5, 6]]], 2)
+    with pytest.raises(TypeError, match="float"):
+        PAdicMatrixSet([[[0.5, 0], [0, 1]]], 2)
+    assert s.stack.shape == (1, 2, 2) and s.stack.dtype == object
     with pytest.raises(ValueError):
-        PAdicMatrixSet.from_rows([[[1]]], 4)  # composite prime
-    with pytest.raises(ValueError):
-        PAdicMatrixSet.from_rows([], 2)
-    with pytest.raises(ValueError):
-        PAdicMatrixSet.from_rows([[[1, 0], [0, 1]], [[1]]], 2)
-    with pytest.raises(ValueError):
-        PAdicMatrixSet.from_rows([[[1, 2, 3], [4, 5, 6]]], 2)
+        s.stack[0, 0, 0] = Fraction(3)  # read-only
+    # a set built from another's stack holds equal entries under a new prime
+    t = PAdicMatrixSet(s.stack, 3)
+    assert t.prime == 3 and np.array_equal(t.stack, s.stack)
+    # a document holding the set checks one label per member
+    assert InputDocument(s, labels=["a"]).labels == ("a",)
+    for labels in ([], ["a", "b"]):
+        with pytest.raises(ValueError, match="expected 1 labels"):
+            InputDocument(s, labels=labels)
 
 
 def test_set_norm_examples():
@@ -530,9 +544,9 @@ def test_jsr_stops_at_the_set_norm(monkeypatch):
     while checked < 6:
         p, d = rng.choice([2, 3, 5]), rng.choice([2, 3])
         s = rand_int_set(rng, d, p, m=3)
-        if sum(s.members[0][i][i] for i in range(d)) % p == 0:
+        if sum(s.stack[0][i][i] for i in range(d)) % p == 0:
             continue
-        ps = intset([[[p * x for x in row] for row in m] for m in s.members], p)
+        ps = intset([[[p * x for x in row] for row in m] for m in s.stack], p)
         assert padic_jsr_exact(ps) == (PAdicMagnitude(1), (0,))
         assert ultrametric_set_norm(ps) == PAdicMagnitude(1)
         checked += 1
@@ -564,8 +578,8 @@ def test_jsr_scaling_by_p_shifts_exponent():
         for c in (
             Fraction(p), Fraction(p**2), Fraction(1, q), Fraction(1, q * p), Fraction(1, q * p**2)
         ):
-            scaled = PAdicMatrixSet.from_rows(
-                [[[x * c for x in row] for row in m] for m in s.members], p
+            scaled = PAdicMatrixSet(
+                [[[x * c for x in row] for row in m] for m in s.stack], p
             )
             j = padic_valuation(c, p)
             rs, reps = padic_jsr_exact(scaled), check_ultra_boca(scaled)
@@ -608,7 +622,7 @@ def test_jsr_bounded_by_set_norm():
 
 def test_jsr_rational_entries():
     # a single Jordan-like block with eigenvalue 1/3 has magnitude p
-    s = PAdicMatrixSet.from_rows([[["1/3", 1], [0, "1/3"]]], 3)
+    s = PAdicMatrixSet([[["1/3", 1], [0, "1/3"]]], 3)
     assert padic_jsr_exact(s).rho == PAdicMagnitude(-1)
 
 
@@ -686,8 +700,8 @@ def test_nilpotency_zero_set():
 def test_nilpotency_is_exact_at_tiny_entries():
     # a 1e-8-ish rational perturbation flips the answer, with no tolerance
     eps = Fraction(3, 10**8)
-    clean = PAdicMatrixSet.from_rows([[[0, 1], [0, 0]]], 2)
-    bent = PAdicMatrixSet.from_rows([[[0, 1], [eps, 0]]], 2)
+    clean = PAdicMatrixSet([[[0, 1], [0, 0]]], 2)
+    bent = PAdicMatrixSet([[[0, 1], [eps, 0]]], 2)
     assert padic_nilpotency_exact(clean)
     assert not padic_nilpotency_exact(bent)
 
