@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from jsrkit.core import (
     SPECTRAL,
@@ -550,6 +549,9 @@ def _accept_directions(
     is still treated as a borderline rank decision rather than judged
     against its own magnitude.
     """
+    # imported here so that no CLI command pays scipy's start-up cost
+    import scipy.linalg
+
     if cand.size == 0:
         return None
     cand_scale = float(np.linalg.norm(cand, axis=0).max())

@@ -50,7 +50,10 @@ def _canonical_complex(entry, path: str) -> list:
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
     ):
         _fail(path, "expected an [re, im] pair of numbers")
-    re, im = float(entry[0]), float(entry[1])
+    try:
+        re, im = float(entry[0]), float(entry[1])
+    except OverflowError:  # an integer beyond the float range
+        _fail(path, "entries must be finite")
     if not (math.isfinite(re) and math.isfinite(im)):
         _fail(path, "entries must be finite")
     return [re, im]

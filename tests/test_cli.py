@@ -7,6 +7,10 @@ by pytest; the exit-status contract is 0 ok/CONFIRMED, 1 usage/parse,
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +448,17 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_integer_beyond_float_range_exit(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"format": 1, "dim": 1, "field": "complex", "members": [[[[%d, 0]]]]}' % 10**400
+    )
+    code, out, err = run(capsys, "estimate", str(path))
+    assert code == 1
+    assert out == ""
+    assert "members[0][0][0]: entries must be finite" in err
+
+
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "estimate", "/nonexistent/input.json")
     assert code == 1
@@ -509,3 +524,51 @@ def test_quiet_suppresses_diagnostics(tmp_path, capsys):
     _, _, err_quiet = run(capsys, "estimate", path, "--depth", "4", "--quiet")
     assert err_loud != ""
     assert err_quiet == ""
+
+
+# --- import path ------------------------------------------------------------------
+
+IMPORT_PATH_SCRIPT = """
+import contextlib, io, json, sys
+from jsrkit.cli import main
+from jsrkit.core import MatrixSet
+from jsrkit.families import FAMILY_NAMES
+
+tmp = sys.argv[1]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+codes = [run("examples", family, "--out", f"{tmp}/{family}.json") for family in FAMILY_NAMES]
+doc = f"{tmp}/shift.json"
+codes.append(run("estimate", doc, "--depth", "4", "--conjugation", "--barabanov"))
+codes += [run("certify", doc, "--depth", "4", "--theorem", t) for t in ("boca", "polbd", "bgel")]
+with open(f"{tmp}/p.json", "w") as f:
+    f.write('{"format": 1, "dim": 1, "field": {"kind": "rational_padic", "prime": 5},'
+            ' "members": [[["25"]]]}')
+codes.append(run("padic", f"{tmp}/p.json"))
+after_cli = "scipy" in sys.modules
+
+from jsrkit.bounds import nilpotency_test
+
+swap_pair, single_elementary = [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], [[[0, 1], [0, 0]]]
+nil = [tuple(nilpotency_test(MatrixSet.from_arrays(s))) for s in (swap_pair, single_elementary)]
+print(json.dumps([codes, after_cli, nil, "scipy" in sys.modules]))
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    # a fresh interpreter: this process has imported scipy through other tests
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    codes, after_cli, nil, after_nilpotency = json.loads(proc.stdout)
+    assert codes == [0] * (len(FAMILY_NAMES) + 5)
+    assert not after_cli
+    assert nil == [[False, 4], [True, 1]]
+    assert after_nilpotency

@@ -148,6 +148,15 @@ def test_non_finite_entries_rejected():
         InputDocument.parse(json.dumps(obj))
 
 
+@pytest.mark.parametrize("part", [0, 1])
+def test_integer_beyond_float_range_rejected(part):
+    # float() of such an integer overflows rather than giving inf
+    obj = json.loads(COMPLEX_DOC)
+    obj["members"][1][0][0][part] = 10**400
+    with pytest.raises(ParseError, match=r"members\[1\]\[0\]\[0\]: entries must be finite"):
+        InputDocument.parse(json.dumps(obj))
+
+
 def test_run_report_emission_is_stable():
     kwargs = dict(
         tool="jsrkit",

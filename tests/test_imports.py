@@ -1,9 +1,11 @@
 """Every name a jsrkit module or test imports is used in it or re-exported,
-every name a module exports exists there once, and every private top-level
-name of a module is read somewhere in the package."""
+every name a module exports exists there once, every private top-level
+name of a module is read somewhere in the package, and importing a module
+loads nothing beyond the stdlib and numpy."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,35 @@ def test_no_dead_private_helpers():
         for helper in sorted(module_private_names(tree) - used)
     ]
     assert dead == []
+
+
+def import_time_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, top-level package) of every import that runs when the module
+    is imported: all but those inside a function body."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import stays inside jsrkit
+            found.append((node.lineno, "jsrkit" if node.level else node.module.split(".")[0]))
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_import_path_is_stdlib_and_numpy(path):
+    # every CLI command pays for what its modules import at load time;
+    # heavier dependencies are imported inside the function that needs them
+    allowed = set(sys.stdlib_module_names) | {"numpy", "jsrkit"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [
+        f"{path.name}:{line}: {name}"
+        for line, name in import_time_modules(tree)
+        if name not in allowed
+    ] == []
