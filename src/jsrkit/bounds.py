@@ -298,8 +298,12 @@ def upper_bound(
 # --- conjugation search ------------------------------------------------------
 
 
-def _balance_step(stack: np.ndarray, base: float) -> np.ndarray | None:
-    """One pass of diagonal balancing, snapped to powers of ``base``.
+_BALANCE_BASE = 2.0  # diagonal balancing scales by powers of this
+_FORM_DAMPING = 0.1  # step of the damped quadratic-form iteration
+
+
+def _balance_step(stack: np.ndarray) -> np.ndarray | None:
+    """One pass of diagonal balancing, snapped to powers of ``_BALANCE_BASE``.
 
     Returns the diagonal scale vector, or None when already balanced.
     """
@@ -310,29 +314,27 @@ def _balance_step(stack: np.ndarray, base: float) -> np.ndarray | None:
         ratio = np.sqrt(cols / rows)
     ratio[~np.isfinite(ratio)] = 1.0
     ratio[ratio <= 0] = 1.0
-    powers = np.round(np.log(ratio) / math.log(base))
+    powers = np.round(np.log(ratio) / math.log(_BALANCE_BASE))
     if not powers.any():
         return None
-    return base**powers
+    return _BALANCE_BASE**powers
 
 
 def conjugation_search(
     s: MatrixSet,
     iterations: int = 200,
     *,
-    eta: float = 0.1,
-    base: float = 2.0,
     norm: NormSpec = SPECTRAL,
 ) -> ConjugationResult:
     """Search for g making ||g S g^-1|| small; never worse than the identity.
 
     Alternates two deterministic strategies, keeping the best candidate:
 
-    * diagonal rescaling by powers of ``base`` that balances worst-case row
+    * diagonal rescaling by powers of 2 that balances worst-case row
       against column sums of the conjugated set, and
     * a damped quadratic-form iteration
-      ``P <- (1 - eta) P + eta * mean_s(s^H P s)`` (trace-normalized), whose
-      Cholesky factor supplies the conjugation.
+      ``P <- (1 - eta) P + eta * mean_s(s^H P s)`` with eta = 0.1
+      (trace-normalized), whose Cholesky factor supplies the conjugation.
 
     The quadratic-form iteration converges toward an invariant form when one
     exists (e.g. conjugated unitary families), while the diagonal strategy
@@ -356,9 +358,7 @@ def conjugation_search(
     g_diag = np.ones(d)
     stack = s.stack
     for _ in range(iterations):
-        scale = _balance_step(
-            np.einsum("i,nij,j->nij", g_diag, stack, 1.0 / g_diag), base
-        )
+        scale = _balance_step(np.einsum("i,nij,j->nij", g_diag, stack, 1.0 / g_diag))
         if scale is None:
             break
         g_diag = scale * g_diag
@@ -369,7 +369,7 @@ def conjugation_search(
     for _ in range(iterations):
         avg = np.einsum("nij,jk,nkl->il", stack.conj().transpose(0, 2, 1), p, stack)
         avg /= s.size
-        p = (1 - eta) * p + eta * avg
+        p = (1 - _FORM_DAMPING) * p + _FORM_DAMPING * avg
         p = (p + p.conj().T) / 2
         tr = np.trace(p).real
         if not math.isfinite(tr) or tr <= 0:
@@ -406,7 +406,7 @@ def rota_strang_norm(
     Requires r * (best computed upper bound on the jsr) < 1, otherwise the
     series has no such tail bound and DivergentSeriesError is raised.
     """
-    if r <= 0:
+    if not r > 0:  # a NaN r fails too
         raise ValueError("r must be positive")
     if trunc < 1:
         raise ValueError("trunc must be >= 1")

@@ -182,7 +182,7 @@ def siegel_combination(
     """
     if t < 1:
         raise ValueError("coefficient bound t must be >= 1")
-    if eps <= 0:
+    if not eps > 0:  # a NaN eps fails too
         raise ValueError("eps must be positive")
     xmat = np.array([np.asarray(v, dtype=np.complex128).reshape(-1) for v in xs])
     if xmat.ndim != 2 or xmat.shape[0] == 0:
@@ -299,6 +299,8 @@ def convex_hull_bound_check(
 # --- trajectory return search -------------------------------------------------
 
 _MAX_RESTARTS = 8  # fresh directions trajectory_return_search may try
+_K_BEST = 64  # most aligned return pairs trajectory_return_search certifies
+_HASH_CELL = 0.25  # grid cell of _hashed_pairs on long trajectories
 
 
 class ReturnSearchResult(NamedTuple):
@@ -323,14 +325,12 @@ def _closest_pairs(points: np.ndarray, k_best: int) -> list[tuple[float, int, in
     return heapq.nsmallest(k_best, out)
 
 
-def _hashed_pairs(
-    points: np.ndarray, k_best: int, cell: float = 0.25
-) -> list[tuple[float, int, int]]:
+def _hashed_pairs(points: np.ndarray, k_best: int) -> list[tuple[float, int, int]]:
     # Spatial hash over the raw positions for long trajectories.  Positional
     # buckets miss returns that are only phase aligned; candidates that do
     # collide are still scored phase invariantly.
     out: list[tuple[float, int, int]] = []
-    for j, cand in _grid_neighbours(points, cell):
+    for j, cand in _grid_neighbours(points, _HASH_CELL):
         if cand:
             ip = np.minimum(np.abs(points[cand] @ points[j].conj()), 1.0)
             scores = 1.0 - ip * ip
@@ -345,8 +345,6 @@ def trajectory_return_search(
     maxlen: int = 256,
     x0=None,
     seed: int = 0,
-    *,
-    k_best: int = 64,
 ) -> ReturnSearchResult:
     """Hunt for a word whose product nearly fixes a direction.
 
@@ -356,7 +354,7 @@ def trajectory_return_search(
     subword i..j an approximate eigenpair: the product (normalized to
     spectral norm 1) fixes x_i up to a small residual, and the resulting
     ResidualCertificate lower-bounds its spectral radius.  The best
-    certificate over the k_best most aligned return pairs is returned,
+    certificate over the ``_K_BEST`` most aligned return pairs is returned,
     ties going to the shorter word.
 
     ``norm`` is the NormSpec whose vector norm steers the greedy choice
@@ -423,7 +421,7 @@ def trajectory_return_search(
             continue
         pts = np.array(points)
         pairer = _closest_pairs if len(pts) <= 4096 else _hashed_pairs
-        for _, i, j in pairer(pts, k_best):
+        for _, i, j in pairer(pts, _K_BEST):
             pairs_checked += 1
             word = tuple(letters[i:j])
             prod = eval_word(s, word)
@@ -488,7 +486,7 @@ def near_idempotent_search(
             i = int(np.argmin(defects))
             if best is None or defects[i] < best[0]:
                 best = (float(defects[i]), word_from_index(int(ok[i]), k, s.size))
-    if best is None or best[0] > tol:
+    if best is None or not best[0] <= tol:  # no defect is <= a NaN tol
         return None
     return best[1], best[0]
 
@@ -613,7 +611,6 @@ def check_bg_el(
     *,
     interval: JsrInterval | None = None,
     seed: int = 0,
-    word_cap: int = WORD_CAP,
 ) -> TheoremReport:
     """Look for a word with rho(eval(w)) >= (1 - eps) jsr(S)^|w|.
 

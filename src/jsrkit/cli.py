@@ -255,7 +255,6 @@ def cmd_certify(args) -> int:
                 max(args.depth, 2),
                 interval=interval.scaled(factor),
                 seed=args.seed,
-                word_cap=args.cap,
             )
             results["rescaled_by"] = factor
         results["report"] = _theorem_record(rep)
@@ -284,7 +283,7 @@ def cmd_padic(args) -> int:
         if args.prime is not None:
             ps = PAdicMatrixSet(ps.stack, args.prime)
         boca = check_ultra_boca(ps, word_cap=args.cap)
-        nilpotent = padic_nilpotency_exact(ps)
+        nilpotent = padic_nilpotency_exact(ps, word_cap=args.cap)
         bottom = boca.rho.is_bottom
         results = {
             "prime": ps.prime,

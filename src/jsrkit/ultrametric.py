@@ -3,14 +3,15 @@
 Everything here is a decision procedure: eigenvalue magnitudes come from
 Newton polygons of exact characteristic polynomials, the joint spectral
 radius equals the peak of Lambda(S^k)^(1/k) over k up to an explicit
-length bound ell(d).  Each set is scaled once, by the lcm D of its
-denominators and by p^-vmin, vmin the least entry valuation of the integer
-set, into an object array of arbitrary-precision ints; the word products
-come from ``core.product_levels``, the engine the floating-point side uses,
-run on that array.  The scaled set has norm exponent 0, and a length-k
-product of it has every exponent k (v_p(D) - vmin) above the original, so
-results shift back by that much per letter.  No floating point, no
-tolerances.
+length bound ell(d), and the algebra the set generates is nilpotent
+exactly when every length-d product vanishes.  Each set is scaled once,
+by the lcm D of its denominators and by p^-vmin, vmin the least entry
+valuation of the integer set, into an object array of arbitrary-precision
+ints; the word products come from ``core.product_levels``, the engine the
+floating-point side uses, run on that array.  The scaled set has norm
+exponent 0, and a length-k product of it has every exponent
+k (v_p(D) - vmin) above the original, so results shift back by that much
+per letter.  No floating point, no tolerances.
 
 Magnitudes are carried in exponent form: PAdicMagnitude(e) denotes the
 value p^(-e) with e rational (roots in the algebraic closure can have
@@ -376,6 +377,14 @@ def _valuations(level: np.ndarray, p: int) -> np.ndarray:
     return v
 
 
+def _word_valuations(s: PAdicMatrixSet, k: int) -> np.ndarray:
+    """``_valuations`` of the length-k products of the scaled set, one per
+    word in ``word_from_index`` order."""
+    for level in product_levels(s._scaled[1], k):
+        pass
+    return _valuations(level, s.prime)
+
+
 def ultrametric_set_norm(s: PAdicMatrixSet) -> PAdicMagnitude:
     """||S||_0 = max entry magnitude over all members (exact operator norm
     for the coordinatewise ultrametric vector norm)."""
@@ -491,13 +500,11 @@ def check_ultra_boca(
     the left side and ``rho_witness`` the radius.  A violated report would
     contradict a proven bound, so the suite treats it as a failure.
     """
-    d, m, p = s.dim, s.size, s.prime
+    d, m = s.dim, s.size
     # its budget covers S^d too: count_words(m, ell_bound(d)) >= m**d
     rho, rho_witness = padic_jsr_exact(s, word_cap=word_cap)
-    shift, stack = s._scaled
-    for level in product_levels(stack, d):
-        pass
-    vmin = _valuations(level, p)
+    shift = s._scaled[0]
+    vmin = _word_valuations(s, d)
     live = np.flatnonzero(vmin >= 0)
     if live.size:
         ibest = int(live[np.argmin(vmin[live])])
@@ -514,59 +521,17 @@ def check_ultra_boca(
 # --- exact nilpotency ----------------------------------------------------------
 
 
-def _reduce_against(vec: Sequence[int], basis: list[tuple[int, list]]) -> Sequence[int]:
-    # fraction-free elimination of the basis pivots from vec: each step
-    # replaces vec by a vec - b row, a nonzero multiple of the rational step
-    for piv, row in basis:
-        if vec[piv] != 0:
-            g = math.gcd(row[piv], vec[piv])
-            a, b = row[piv] // g, vec[piv] // g
-            vec = [a * x - b * y for x, y in zip(vec, row)]
-    return vec
-
-
-def _try_extend(vec: Sequence[int], basis: list[tuple[int, list]]) -> bool:
-    v = _reduce_against(vec, basis)
-    for i, x in enumerate(v):
-        if x != 0:
-            g = math.gcd(*v)
-            basis.append((i, [y // g for y in v]))
-            basis.sort(key=lambda t: t[0])
-            return True
-    return False
-
-
-def _flats(stack: np.ndarray) -> list[list]:
-    # the matrices of a stack as flat lists of Python ints, in row order
-    return stack.reshape(-1, stack.shape[-1] ** 2).tolist()
-
-
-def padic_nilpotency_exact(s: PAdicMatrixSet) -> bool:
+def padic_nilpotency_exact(s: PAdicMatrixSet, *, word_cap: int = WORD_CAP) -> bool:
     """Whether the algebra generated by the members is nilpotent, exactly.
 
-    Saturates the span of the members under left multiplication with
-    fraction-free integer elimination, then multiplies the algebra onto
-    itself d - 1 times; nilpotency is equivalent to the d-fold products all
-    vanishing.  Scaling does not change nilpotency, so it runs on the
-    integer scaling of the set as is.
+    A nilpotent algebra of d x d matrices is simultaneously strictly
+    triangularizable, so it has index at most d: any d of its elements
+    multiply to zero.  It is spanned by the products of nonempty words, and
+    a word of length at least d has a length-d factor, so the algebra is
+    nilpotent exactly when every length-d product vanishes.  Scaling does
+    not change nilpotency, so the products run on the integer scaling of
+    the set.  Raises BudgetExceededError when the count_words(m, d) words up
+    to that length exceed ``word_cap``.
     """
-    d = s.dim
-    mats = s._scaled[1]
-    basis: list[tuple[int, list]] = []
-    queue = [m for m in _flats(mats) if _try_extend(m, basis)]
-    while queue:
-        prods = mats @ np.array(queue.pop(), dtype=object).reshape(d, d)
-        queue += [prod for prod in _flats(prods) if _try_extend(prod, basis)]
-    if not basis:
-        return True  # all members are zero
-    algebra = np.array([row for _, row in basis], dtype=object).reshape(-1, d, d)
-
-    layer = algebra
-    for _ in range(d - 1):
-        nxt_basis: list[tuple[int, list]] = []
-        prods = algebra[:, np.newaxis] @ layer
-        nxt = [prod for prod in _flats(prods) if _try_extend(prod, nxt_basis)]
-        if not nxt:
-            return True
-        layer = np.array(nxt, dtype=object).reshape(-1, d, d)
-    return False
+    check_budget(s.size, s.dim, word_cap, f"nilpotency words of length {s.dim}")
+    return bool((_word_valuations(s, s.dim) < 0).all())

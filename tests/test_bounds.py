@@ -391,6 +391,12 @@ def test_rota_strang_zero_set():
     assert tail == 0.0
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_rota_strang_rejects_non_positive_r(r):
+    with pytest.raises(ValueError, match="r must be positive"):
+        rota_strang_norm(swap_pair(), r, np.array([1.0, 0.0]), 3)
+
+
 def test_rota_strang_divergent():
     s = MatrixSet.from_arrays([2 * np.eye(2)])
     with pytest.raises(DivergentSeriesError) as err:

@@ -172,6 +172,13 @@ def test_siegel_budget():
         siegel_combination([np.array([0.5])] * 20, 3, 0.5)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
+def test_siegel_rejects_non_positive_eps(eps):
+    xs = [np.array([0.9 * math.cos(float(k))]) for k in range(8)]
+    with pytest.raises(ValueError, match="eps must be positive"):
+        siegel_combination(xs, 2, eps)
+
+
 def test_siegel_rejects_oversized_vectors():
     with pytest.raises(ValueError, match="vector bound"):
         siegel_combination([np.array([2.0, 0.0])], 1, 0.5, enforce_hypothesis=False)
@@ -302,6 +309,12 @@ def test_near_idempotent_in_pair():
     word, defect = near_idempotent_search(s, 3, 1e-9)
     assert word == (0,)
     assert defect == 0.0
+
+
+def test_near_idempotent_nan_tol_has_none():
+    # the best defect is 0.0, and no defect is <= NaN
+    s = MatrixSet.from_arrays([elem(0, 0, 2), elem(0, 1, 2)])
+    assert near_idempotent_search(s, 3, math.nan) is None
 
 
 def test_near_idempotent_rotation_has_none():

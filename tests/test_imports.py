@@ -1,7 +1,8 @@
 """Every name a jsrkit module or test imports is used in it or re-exported,
 every name a module exports exists there once, every private top-level
-name of a module is read somewhere in the package, and importing a module
-loads nothing beyond the stdlib and numpy."""
+name of a module is read somewhere in the package, every function reads
+each of its parameters, and importing a module loads nothing beyond the
+stdlib and numpy."""
 
 import ast
 import importlib
@@ -97,6 +98,44 @@ def test_no_dead_private_helpers():
         for helper in sorted(module_private_names(tree) - used)
     ]
     assert dead == []
+
+
+def unread_parameters(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, parameter) for every parameter, other than self and cls,
+    that its function's body never reads as a name."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found.extend(
+            (name, a.arg)
+            for a in params
+            if a.arg not in {"self", "cls"} and a.arg not in read
+        )
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is a knob that changes nothing
+    unread = [
+        f"{path.stem}.{func}: {param}"
+        for path in sorted(SRC.glob("*.py"))
+        for func, param in unread_parameters(
+            ast.parse(path.read_text(), filename=str(path))
+        )
+    ]
+    assert unread == []
 
 
 def import_time_modules(tree: ast.Module) -> list[tuple[int, str]]:

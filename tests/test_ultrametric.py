@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from jsrkit import ultrametric
-from jsrkit.core import BudgetExceededError, product_levels, word_from_index
+from jsrkit.core import BudgetExceededError, count_words, product_levels, word_from_index
 from jsrkit.documents import InputDocument
 from jsrkit.ultrametric import (
     BOTTOM,
@@ -726,3 +726,131 @@ def test_nilpotency_agrees_with_bottom_radius():
         assert nil == bottom
         hits += nil
     assert hits > 0  # the sampler did produce nilpotent instances
+
+
+def words_vanish(s, k):
+    """Whether every length-k product is zero, by the plain Fraction loop."""
+    return all(
+        x == 0
+        for w in itertools.product(range(s.size), repeat=k)
+        for row in word_product(s, w)
+        for x in row
+    )
+
+
+def elementary_conjugator(rng, d):
+    """(g, g^-1) for g a product of 2d rational elementary matrices
+    I + c e_ij, whose inverses I - c e_ij multiply in reverse order."""
+    eye = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    g = ginv = eye
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5, 7]))
+        e, einv = [row[:] for row in eye], [row[:] for row in eye]
+        e[i][j], einv[i][j] = c, -c
+        g, ginv = fraction_matmul(e, g), fraction_matmul(ginv, einv)
+    assert fraction_matmul(g, ginv) == tuple(map(tuple, eye))
+    return g, ginv
+
+
+def rand_strict_upper(rng, d, m):
+    """m strictly upper-triangular rational matrices; the first has a
+    nonzero superdiagonal, so its (d-1)-th power is nonzero."""
+    mats = []
+    for n in range(m):
+        a = [[Fraction(0)] * d for _ in range(d)]
+        for r in range(d):
+            for c in range(r + 1, d):
+                a[r][c] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+            if n == 0 and r + 1 < d:
+                a[r][r + 1] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 3]))
+        mats.append(a)
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nilpotency_is_the_length_d_words_vanishing(p):
+    # rational conjugates g N g^-1 of strictly upper and of strictly lower
+    # triangular sets have index exactly d; one entry under the diagonal of
+    # the first upper member usually breaks nilpotency, and the Fraction
+    # oracle decides whether it did
+    rng = random.Random(100 + p)
+    for d in (2, 3, 4):
+        for m in (1, 2, 3):
+            for _ in range(2):
+                strict = rand_strict_upper(rng, d, m)
+                g, ginv = elementary_conjugator(rng, d)
+                lower = [[list(col) for col in zip(*a)] for a in strict]
+                for tri in (strict, lower):
+                    conj = [fraction_matmul(fraction_matmul(g, a), ginv) for a in tri]
+                    s = PAdicMatrixSet(conj, p)
+                    assert not words_vanish(s, d - 1)  # the index is exactly d
+                    assert words_vanish(s, d)
+                    assert padic_nilpotency_exact(s)
+
+                strict[0][d - 1][rng.randrange(d - 1)] = Fraction(1, p)
+                conj = [fraction_matmul(fraction_matmul(g, a), ginv) for a in strict]
+                bent = PAdicMatrixSet(conj, p)
+                assert padic_nilpotency_exact(bent) == words_vanish(bent, d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nilpotency_matches_the_oracle_on_sparse_sets(p):
+    rng = random.Random(200 + p)
+    hits = [0, 0]
+    for _ in range(60):
+        d, m = rng.randint(1, 4), rng.randint(1, 3)
+        mats = [
+            [
+                [
+                    Fraction(rng.choice([-1, 2]), rng.choice([1, p, 7, 3 * p]))
+                    if rng.random() < 0.3
+                    else 0
+                    for _ in range(d)
+                ]
+                for _ in range(d)
+            ]
+            for _ in range(m)
+        ]
+        s = PAdicMatrixSet(mats, p)
+        nil = words_vanish(s, d)
+        assert padic_nilpotency_exact(s) == nil
+        hits[nil] += 1
+    assert all(hits)  # the sampler gave nilpotent and non-nilpotent sets
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nilpotency_of_each_member_is_not_joint(p):
+    e12 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    e21 = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    for mats in ([e12], [e21]):
+        assert padic_nilpotency_exact(PAdicMatrixSet(mats, p))
+    pair = PAdicMatrixSet([e12, e21], p)
+    assert not words_vanish(pair, 3)
+    assert not padic_nilpotency_exact(pair)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nilpotency_of_zero_sets_and_dimension_one(p):
+    cases = [
+        ([[[0, 0, 0]] * 3] * 2, True),
+        ([[[0]]], True),
+        ([[[0]], [[0]]], True),
+        ([[[0]], [[f"1/{p}"]]], False),
+        ([[[p**3]]], False),
+    ]
+    for mats, nil in cases:
+        s = PAdicMatrixSet(mats, p)
+        assert words_vanish(s, s.dim) == nil
+        assert padic_nilpotency_exact(s) == nil
+
+
+def test_nilpotency_word_cap():
+    # the m = 2, d = 3 words up to length 3 number 2 + 4 + 8 = 14
+    e12 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    e21 = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    s = PAdicMatrixSet([e12, e21], 3)
+    need = count_words(2, 3)
+    with pytest.raises(BudgetExceededError, match=f"{need} words .* cap of {need - 1};"):
+        padic_nilpotency_exact(s, word_cap=need - 1)
+    assert not padic_nilpotency_exact(s, word_cap=need)
