@@ -14,12 +14,23 @@ A note on pruning: discarding whole subtrees whose prefix norm falls below
 could still improve the maximum has a cyclic rotation whose prefixes all
 stay above the bound) but it can silently corrupt the norm side, because
 the word attaining ``max ||eval(w)||`` may well have a small prefix.  The
-sweep therefore still visits every word.  ``core.max_operator_norm``
-gives each word cheap norm brackets, which skip the SVDs that cannot change
-a level's maximum, and the free bound rho(A) <= min(||A||_1, ||A||_inf,
-||A||_F), which skips the eigensolves that cannot reach the running lower
-bound; both tests carry a guard against roundoff.  Results are
-bit-identical to evaluating every word in full.
+sweep therefore builds every word of every level but the last.
+``core.max_operator_norm`` gives each word cheap norm brackets, which skip
+the SVDs that cannot change a level's maximum, and the free bound rho(A)
+<= min(||A||_1, ||A||_inf, ||A||_F), which skips the eigensolves that
+cannot reach the running lower bound; both tests carry a guard against
+roundoff.  The last level (the depth, or the last one the word budget
+admits) has no descendants to lose, so there ``core.kept_parents`` drops
+every child A W whose bounds from the norms of A and W, by
+submultiplicativity and widened against roundoff, show both skips would
+hold; the dropped words count as enumerated and as skipped.  Results are
+bit-identical to evaluating every word in full, with one exception in the
+counts: a child whose computed entries would all be subnormal gets no
+bracket and no radius bound in the full computation, which then runs its
+SVD and its eigensolve.  Children whose bounds put them there are built,
+but one whose entries fall there only by cancellation can be dropped, so
+``svd_run`` and ``eig_skipped`` could differ there, never a bound or a
+witness.
 """
 
 from __future__ import annotations
@@ -42,8 +53,10 @@ from jsrkit.core import (
     batch_spectral_radii,
     check_budget,
     count_words,
+    kept_parents,
     max_operator_norm,
     product_levels,
+    pruned_level,
     word_from_index,
 )
 
@@ -112,7 +125,9 @@ class JsrInterval:
     ``words_enumerated``, ``eig_skipped`` (words the radius bound spared an
     eigensolve, under any norm), ``svd_run`` and ``svd_skipped`` (SVDs; both
     0 under the row- and column-sum norms), and the flags
-    ``budget_exhausted`` and ``early_stop_width``.  ``levels[k - 1]`` is
+    ``budget_exhausted`` and ``early_stop_width``.  The last level's words
+    that the sweep never built count as enumerated, and as skipped in
+    ``eig_skipped`` and ``svd_skipped``.  ``levels[k - 1]`` is
     ``max_operator_norm``'s (value, index) under ``norm`` on each level k the
     sweep completed; hand-built and scaled intervals have no levels.
     """
@@ -168,16 +183,18 @@ class JsrConfig:
 
 
 def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
-    """Both sandwich bounds in one breadth-first sweep that visits every word.
+    """Both sandwich bounds in one breadth-first sweep over every word.
 
     A word gets an eigensolve only when min(||A||_1, ||A||_inf, ||A||_F)^(1/|w|)
     reaches the running lower bound less a 1e-12 guard; ``eig_skipped``
     counts the rest.  Norm brackets skip the SVDs that cannot change a
-    level's maximum.  The lower end, its witness and ``eig_skipped`` do not
-    depend on ``config.norm``; ``lower_bound`` and ``upper_bound`` are
-    the two ends of this interval under a strict budget.  On budget
-    exhaustion the deepest completed level determines a (wider) valid
-    interval, flagged in the diagnostics rather than raised.
+    level's maximum.  The last level builds only the words whose bounds
+    from their parents' norms allow either; the others count as enumerated
+    and skipped, as the module docstring says.  The lower end, its witness
+    and ``eig_skipped`` do not depend on ``config.norm``; ``lower_bound``
+    and ``upper_bound`` are the two ends of this interval under a strict
+    budget.  On budget exhaustion the deepest completed level determines a
+    (wider) valid interval, flagged in the diagnostics rather than raised.
     """
     depth = config.depth
     if depth < 1:
@@ -202,9 +219,20 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
         if count_words(m, k) > config.word_cap:
             budget_hit = True
             break
-        level = next(levels)
-
-        norms = max_operator_norm(level, config.norm)
+        cut = best_low * (1 - 1e-12)
+        built = None  # where set, row i of level is row built[i] of level k
+        if k > 1 and (k == depth or count_words(m, k + 1) > config.word_cap):
+            # the last level: build only the children that can matter, once
+            # level k - 1, which the generator holds too, is freed
+            wanted = kept_parents(s.stack, level, first, norms, config.norm, k, cut)
+            level = level[wanted]
+            levels.close()
+            level, built, norms = pruned_level(s.stack, level, wanted, config.norm)
+        else:
+            level = next(levels)
+            norms = max_operator_norm(level, config.norm)
+            if k == 1:
+                first = norms
         svd_run += norms.svd_run
         svd_skipped += norms.svd_skipped
         rows.append((norms.value, norms.index))
@@ -217,7 +245,7 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
         # cannot reach the running maximum skip all eigenvalue-side work.
         # The guard keeps ties eligible so the reported witness is identical
         # to the exhaustive computation (see core._SKIP_GUARD).
-        keep = np.flatnonzero(norms.radius_bounds ** (1.0 / k) >= best_low * (1 - 1e-12))
+        keep = np.flatnonzero(norms.radius_bounds ** (1.0 / k) >= cut)
         eig_skipped += level_count - keep.size
         radii = batch_spectral_radii(level[keep])
         radii[radii <= _EIG_NOISE_FACTOR * d * eps * norms.scale[keep]] = 0.0
@@ -228,7 +256,9 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
             cut = best_low * (1 - 1e-12)
             candidates = [c for c in candidates if c[2] >= cut]
         # skipped words tie too at best_low == 0, but level 1 skips none
-        hits = np.flatnonzero(vals >= best_low * (1 - 1e-12))[:1024]
+        hits = np.flatnonzero(vals >= cut)[:1024]
+        if built is not None:
+            keep = built[keep]
         candidates += [(k, int(keep[i]), float(vals[i])) for i in hits]
 
         if (
@@ -406,8 +436,8 @@ def rota_strang_norm(
     Requires r * (best computed upper bound on the jsr) < 1, otherwise the
     series has no such tail bound and DivergentSeriesError is raised.
     """
-    if not r > 0:  # a NaN r fails too
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:  # a NaN r fails too
+        raise ValueError("r must be positive and finite")
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
     check_budget(s.size, trunc, word_cap, f"rota_strang_norm to depth {trunc}")

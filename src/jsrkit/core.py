@@ -37,6 +37,8 @@ __all__ = [
     "operator_norm",
     "LevelNorms",
     "max_operator_norm",
+    "kept_parents",
+    "pruned_level",
     "vector_norm",
     "set_norm",
     "count_words",
@@ -297,8 +299,18 @@ class LevelNorms(NamedTuple):
     index: int  # its first argmax
     svd_run: int
     svd_skipped: int
-    radius_bounds: np.ndarray  # per row: min(||A||_1, ||A||_inf, ||A||_F) >= rho(A)
+    # per row: (||A||_1, ||A||_inf, ||A||_F), inf where the max |entry| is subnormal
+    norms: np.ndarray
+    # the same of the rows the norm side brackets: g A g^-1 under the
+    # ellipsoidal kind, ``norms`` itself under the others
+    bracketed: np.ndarray
     scale: np.ndarray  # per row: the max |entry|
+
+    @property
+    def radius_bounds(self) -> np.ndarray:
+        """Per row: min(||A||_1, ||A||_inf, ||A||_F) >= rho(A)."""
+        n = self.norms
+        return np.minimum(np.minimum(n[:, 0], n[:, 1]), n[:, 2])
 
 
 # |entries| is taken this many entries at a time, so the pass never holds a
@@ -341,6 +353,44 @@ _BLOCK_ENTRIES = 1 << 16
 # error of L (1 - 1e-12) itself.
 _SKIP_GUARD = 64.0
 
+# kept_parents leaves child C = A W of level k (A a member, W a row of level
+# k - 1) unbuilt only when bounds from the rows of A and W show that
+# max_operator_norm on the whole level would skip its SVD (or find its sum
+# below the maximum) and bounds.jsr_estimate its eigensolve.  Each bound is
+# a product of computed norms N = ||.||_1, ||.||_inf, ||.||_F, grown by
+# 1 + 2 g with g = _SKIP_GUARD * d * eps as above.  Why that is enough:
+# * N(|A| |W|) <= N(A) N(W), and a complex dot product errs by at most
+#   sqrt2 gamma_(d+2) |a|^T |w|, so N(C) <= N(A) N(W) (1 + 3 d eps).  With
+#   the 2 d eps of each of the three brackets, every computed norm, bracket,
+#   sum or radius bound of C stays within 12 d eps of its product bound.
+# * The floor F the norm-side bounds must stay under is the lower bracket
+#   (or sum) of one child C', computed from the same entries by the same
+#   operations as on the whole level, so at most the level's largest, L,
+#   bar the ldexp of rows far below it.  So upper(C) (1 + g) < L (1 - g)
+#   whenever bound (1 + 2 g) < F (1 - 2 g), with about 100 d eps to spare,
+#   and likewise sum(C) < F whenever a sum bound passes.
+# * Under the ellipsoidal kind the norm side brackets the computed
+#   conjugates X = g A g^-1, whose products no longer err relatively: the
+#   conjugates of A, W and C each err by at most 4 d^2 eps kappa N(.) in N,
+#   kappa = max_N N(g) N(g^-1) (d^2 terms of three factors), and so N(g C
+#   g^-1) tops N(X_A) N(X_W) by at most 5 (4 d^2 eps) kappa^2 N(A) N(W);
+#   g^-1 g = I + O(d eps kappa) adds a few d eps kappa^2 N(A) N(W) more.
+#   Each product gets 64 d^2 eps kappa^2 N(A) N(W) added.
+# * The eigenvalue side compares (bound (1 + 2 g))^(1/k) with the sweep's
+#   cut times 1 - 2 g, both sides rooted as the sweep roots its own radius
+#   bounds, so that the margin does not shrink with k.
+# None of this holds once a child can overflow, so a level whose members'
+# and parents' largest |entries| allow an inf is built whole, as is one
+# whose floor is not finite.  No product of two norms leaves the float range
+# unless the child's own norms do: sqrt(||.||_1 ||.||_inf) is taken as a
+# product of square roots.  A child whose computed entries are all
+# subnormal gets (0, inf) brackets and an infinite radius bound above, so
+# the whole level SVDs and eigensolves it: every child whose radius bound
+# is subnormal is built.  One whose entries come out subnormal only by
+# cancellation can still be left out; only svd_run and eig_skipped can then
+# differ, never a norm, radius, index or witness, since such a child stays
+# far below the floor.
+
 
 def _max_last(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1)`` (NaN included), one ``np.maximum`` per column.
@@ -357,7 +407,7 @@ def _max_last(x: np.ndarray) -> np.ndarray:
 def _bracket(a: np.ndarray, top: np.ndarray):
     """Per row of |entries| ``a`` (largest ``top``): the exponent e of the
     exact rescaling by 2^-e, then on the rescaled row the spectral bracket
-    (low, up), and min(||A||_1, ||A||_inf, ||A||_F) scaled back; (0, inf) and
+    (low, up), and (||A||_1, ||A||_inf, ||A||_F) scaled back; (0, inf) and
     inf where ``top`` is subnormal, so that |z| is off by more than an ulp."""
     e = np.frexp(top)[1]
     a = np.ldexp(a, -e[:, np.newaxis, np.newaxis])
@@ -367,10 +417,10 @@ def _bracket(a: np.ndarray, top: np.ndarray):
     fro = np.sqrt(np.einsum("ni->n", row2))
     col1, row1 = _max_last(np.einsum("nij->nj", a)), _max_last(np.einsum("nij->ni", a))
     up = np.minimum(fro, np.sqrt(col1 * row1))
-    bound = np.minimum(np.minimum(col1, row1), fro)
+    norms = np.stack((col1, row1, fro), axis=1)
     sub = (top < np.finfo(float).tiny) & (top != 0)
-    low[sub], up[sub], bound[sub] = 0.0, np.inf, np.inf
-    return e, low, up, np.ldexp(bound, e)
+    low[sub], up[sub], norms[sub] = 0.0, np.inf, np.inf
+    return e, low, up, np.ldexp(norms, e[:, np.newaxis])
 
 
 def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
@@ -383,11 +433,13 @@ def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
     power-of-two rescaling so that no square overflows or underflows, and
     only rows whose upper bracket can reach the largest lower one go through
     ``batch_operator_norms``, as does every row whose largest |entry| is
-    subnormal.  ``radius_bounds`` comes from A itself under every kind.
+    subnormal.  ``norms`` comes from A itself under every kind.
     """
     count, d = stack.shape[0], stack.shape[1]
     svd = n.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL)
-    radius_bounds, scale = np.empty((2, count))  # these two outlive the call
+    # these outlive the call
+    scale, norms = np.empty(count), np.empty((count, 3))
+    bracketed = np.empty((count, 3)) if n.kind is NormKind.ELLIPSOIDAL else norms
     lower, upper, sums = np.empty((3, count))
     exps = np.empty(count, dtype=np.int32)
     rows = max(1, _BLOCK_ENTRIES // (d * d))
@@ -398,30 +450,129 @@ def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
         if not svd:
             # reads exactly as a whole-level numpy reduction would
             sums[part] = _max_last(a.sum(axis=2 if n.kind is NormKind.MAX_ROW_SUM else 1))
-        exps[part], lower[part], upper[part], radius_bounds[part] = _bracket(a, top)
+        exps[part], lower[part], upper[part], norms[part] = _bracket(a, top)
         if n.kind is NormKind.ELLIPSOIDAL:
             a = np.abs(np.einsum("ij,njk,kl->nil", n.g, stack[part], n.g_inv))
-            exps[part], lower[part], upper[part], _ = _bracket(a, _max_last(_max_last(a)))
+            exps[part], lower[part], upper[part], bracketed[part] = _bracket(
+                a, _max_last(_max_last(a))
+            )
 
     if not svd:
         i = int(np.argmax(sums))
-        return LevelNorms(float(sums[i]), i, 0, 0, radius_bounds, scale)
+        return LevelNorms(float(sums[i]), i, 0, 0, norms, bracketed, scale)
     # compare on the scale of the largest row, where the brackets that
     # matter stay normal numbers; exactly the zero rows have upper = 0
     nonzero = upper != 0
     if not nonzero.any():
-        return LevelNorms(0.0, 0, 0, count, radius_bounds, scale)
+        return LevelNorms(0.0, 0, 0, count, norms, bracketed, scale)
     exps -= exps[nonzero].max()
     np.ldexp(lower, exps, out=lower)
     np.ldexp(upper, exps, out=upper)
     best = lower.max()  # a NaN here keeps every row
     guard = _SKIP_GUARD * d * np.finfo(float).eps
     keep = np.flatnonzero(~(upper * (1 + guard) < best * (1 - guard)))
-    norms = batch_operator_norms(stack[keep], n)
-    j = int(np.argmax(norms))
+    values = batch_operator_norms(stack[keep], n)
+    j = int(np.argmax(values))
     return LevelNorms(
-        float(norms[j]), int(keep[j]), keep.size, count - keep.size, radius_bounds, scale
+        float(values[j]), int(keep[j]), keep.size, count - keep.size, norms, bracketed, scale
     )
+
+
+def kept_parents(
+    stack: np.ndarray,
+    parents: np.ndarray,
+    members: LevelNorms,
+    prev: LevelNorms,
+    n: NormSpec,
+    k: int,
+    cut: float,
+) -> np.ndarray:
+    """Which rows of level k - 1 have a child that can matter, as a mask.
+
+    ``parents`` is level k - 1 of ``product_levels(stack, k)``, and
+    ``members`` and ``prev`` are ``max_operator_norm(., n)`` of level 1 and
+    of level k - 1.  Child ``p * m + i`` is ``stack[i] @ parents[p]``; by
+    submultiplicativity its norms are at most the products of ``members``'
+    and ``prev``'s.  It cannot matter when those products show that the
+    whole level's ``max_operator_norm`` would skip its SVD, or find its sum
+    below the maximum, against a floor taken from the children of the parent
+    with the largest norm, and that min(||.||_1, ||.||_inf, ||.||_F)^(1/k)
+    stays below ``cut``.  The comments at ``_SKIP_GUARD`` say why no
+    rounding can drop a child that matters.
+    """
+    m, d = stack.shape[0], stack.shape[1]
+    count = parents.shape[0]
+    eps = np.finfo(float).eps
+    g = 2 * _SKIP_GUARD * d * eps
+    kappa = 1.0
+    if n.kind is NormKind.ELLIPSOIDAL:
+        kappa = max(
+            float(np.linalg.norm(n.g, o) * np.linalg.norm(n.g_inv, o)) for o in (1, np.inf, "fro")
+        )
+    eta = _SKIP_GUARD * d * d * eps * kappa**2  # the conjugates' own error
+    keep = np.ones(count, dtype=bool)
+    # no child, nor its conjugate, can hold an inf or a NaN
+    if not 8 * d**3 * kappa * members.scale.max() * prev.scale.max() < np.finfo(float).max:
+        return keep
+    # the floor: the largest lower bracket (or sum) among the children of
+    # the parent with the largest norm, computed as max_operator_norm would
+    kids = _children(stack, parents[prev.index : prev.index + 1])
+    if n.kind is NormKind.ELLIPSOIDAL:
+        kids = np.einsum("ij,njk,kl->nil", n.g, kids, n.g_inv)
+    a = np.abs(kids)
+    if n.kind in (NormKind.MAX_ROW_SUM, NormKind.MAX_COL_SUM):
+        floor = float(_max_last(a.sum(axis=2 if n.kind is NormKind.MAX_ROW_SUM else 1)).max())
+    else:
+        e, low, _, _ = _bracket(a, _max_last(_max_last(a)))
+        floor = float(np.ldexp(low, e).max())
+    # up to eight (rows, m) arrays live at once, about one block of entries
+    rows = max(1, _BLOCK_ENTRIES // (8 * m))
+    for lo in range(0, count if np.isfinite(floor) else 0, rows):
+        part = slice(lo, lo + rows)
+        col, row, fro = (
+            np.multiply.outer(prev.norms[part, j], members.norms[:, j]) for j in range(3)
+        )
+        radius = np.minimum(np.minimum(col, row), fro)
+        drop = (radius * (1 + g)) ** (1.0 / k) < cut * (1 - g)
+        # the whole level SVDs and eigensolves a child whose entries all
+        # come out subnormal, as it gets no bracket
+        drop &= ~((0 < radius) & (radius < np.finfo(float).tiny))
+        if n.kind is NormKind.ELLIPSOIDAL:
+            col, row, fro = (
+                np.multiply.outer(prev.bracketed[part, j], members.bracketed[:, j]) + eta * plain
+                for j, plain in enumerate((col, row, fro))
+            )
+        if n.kind is NormKind.MAX_ROW_SUM:
+            bound = row
+        elif n.kind is NormKind.MAX_COL_SUM:
+            bound = col
+        else:
+            bound = np.minimum(fro, np.sqrt(col) * np.sqrt(row))  # col * row can underflow
+        drop &= bound * (1 + g) < floor * (1 - g)
+        keep[part] = ~drop.all(axis=1)
+    return keep
+
+
+def pruned_level(
+    stack: np.ndarray, parents: np.ndarray, keep: np.ndarray, n: NormSpec
+) -> tuple[np.ndarray, np.ndarray, LevelNorms]:
+    """The children of the rows ``keep`` marks, and what the whole level's
+    ``max_operator_norm`` says, given ``kept_parents``' mask ``keep``.
+
+    ``parents`` holds only the marked rows of level k - 1.  Returns their
+    children in row order, the children's rows in level k, and their
+    ``max_operator_norm`` with the argmax's row in level k and every child
+    left out counted as a skipped SVD.  So value, index, svd_run and
+    svd_skipped are the whole level's bit for bit.
+    """
+    m = stack.shape[0]
+    built = (np.flatnonzero(keep)[:, np.newaxis] * m + np.arange(m)).reshape(-1)
+    level = _children(stack, parents)
+    norms = max_operator_norm(level, n)
+    skipped = norms.svd_skipped
+    if n.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL):
+        skipped += (keep.size - parents.shape[0]) * m
+    return level, built, norms._replace(index=int(built[norms.index]), svd_skipped=skipped)
 
 
 def vector_norm(x, n: NormSpec = SPECTRAL) -> float:
@@ -501,18 +652,24 @@ def product_levels(stack: np.ndarray, depth: int) -> Iterator[np.ndarray]:
     temporaries stay a few blocks whatever the level size.  Every other
     dtype, ``object`` included, goes through that einsum per letter.
     """
-    m = stack.shape[0]
     level = stack
     for k in range(1, depth + 1):
         if k > 1:
-            nxt = np.empty((level.shape[0] * m, *stack.shape[1:]), dtype=stack.dtype)
-            if stack.dtype == np.complex128:
-                _complex_children(stack, level, nxt)
-            else:
-                for i in range(m):
-                    nxt[i::m] = np.einsum("ij,njk->nik", stack[i], level)
-            level = nxt
+            level = _children(stack, level)
         yield level
+
+
+def _children(stack: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """Row ``p * m + i`` is ``stack[i] @ parents[p]``, built as
+    ``product_levels`` builds a level."""
+    m = stack.shape[0]
+    out = np.empty((parents.shape[0] * m, *stack.shape[1:]), dtype=stack.dtype)
+    if stack.dtype == np.complex128:
+        _complex_children(stack, parents, out)
+    else:
+        for i in range(m):
+            out[i::m] = np.einsum("ij,njk->nik", stack[i], parents)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # einsum warns of neither

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jsrkit import bounds, certificates
+from jsrkit import bounds, certificates, core
 from jsrkit.bounds import (
     DivergentSeriesError,
     IndeterminateRankError,
@@ -26,6 +27,7 @@ from jsrkit.core import (
     MatrixSet,
     NormSpec,
     batch_operator_norms,
+    count_words,
     eval_word,
     max_operator_norm,
     product_levels,
@@ -33,7 +35,7 @@ from jsrkit.core import (
     spectral_radius,
 )
 from jsrkit.families import unitary_mix
-from test_core import radius_bound_reference
+from test_core import norms_reference
 from test_properties import conjugated
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -241,15 +243,18 @@ def full_max_operator_norm(stack, n=SPECTRAL):
     """The reference: every row's norm through batch_operator_norms."""
     norms = batch_operator_norms(stack, n)
     i = int(np.argmax(norms))
+    plain = norms_reference(stack)
+    bracketed = plain
+    if n.g is not None:
+        bracketed = norms_reference(np.einsum("ij,njk,kl->nil", n.g, stack, n.g_inv))
     return LevelNorms(
-        float(norms[i]), i, len(norms), 0,
-        radius_bound_reference(stack), np.abs(stack).max(axis=(1, 2)),
+        float(norms[i]), i, len(norms), 0, plain, bracketed, np.abs(stack).max(axis=(1, 2))
     )
 
 
 def every_eigensolve(stack, n=SPECTRAL):
     """``max_operator_norm`` with a radius bound that skips no eigensolve."""
-    return max_operator_norm(stack, n)._replace(radius_bounds=np.full(len(stack), np.inf))
+    return max_operator_norm(stack, n)._replace(norms=np.full((len(stack), 3), np.inf))
 
 
 def differential_sets():
@@ -291,8 +296,8 @@ def test_norm_skip_matches_full_svds(monkeypatch):
 
             fast = run()
             with monkeypatch.context() as mp:
-                mp.setattr(bounds, "max_operator_norm", full_max_operator_norm)
-                mp.setattr(certificates, "max_operator_norm", full_max_operator_norm)
+                for module in (core, bounds, certificates):
+                    mp.setattr(module, "max_operator_norm", full_max_operator_norm)
                 assert run() == fast
 
 
@@ -305,13 +310,71 @@ def test_eig_skip_matches_full_eigensolves(monkeypatch):
         for n in (SPECTRAL, NormSpec.max_row_sum(), NormSpec.max_col_sum(), NormSpec.ellipsoidal(g)):
             fast = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
             with monkeypatch.context() as mp:
-                mp.setattr(bounds, "max_operator_norm", every_eigensolve)
+                for module in (core, bounds):
+                    mp.setattr(module, "max_operator_norm", every_eigensolve)
                 full = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
             assert full.diagnostics["eig_skipped"] == 0
             skipped += fast.diagnostics["eig_skipped"]
             ends = [(iv.lower, iv.lower_witness, iv.upper, iv.upper_depth) for iv in (fast, full)]
             assert ends[0] == ends[1]
     assert skipped > 0
+
+
+def answers(iv):
+    return (iv.lower, iv.upper, iv.lower_witness, iv.upper_depth, iv.levels, iv.diagnostics)
+
+
+def test_last_level_pruning_matches_the_whole_level(monkeypatch):
+    """Every answer and count equals the sweep that builds its whole last
+    level, across depth, budget and width stops."""
+    rng = np.random.default_rng(43)
+    pruned = []
+    kept_parents = bounds.kept_parents
+
+    def spy(*args):
+        keep = kept_parents(*args)
+        pruned.append(keep.size - int(keep.sum()))
+        return keep
+
+    def every_parent(stack, parents, *rest):
+        return np.ones(len(parents), dtype=bool)
+
+    monkeypatch.setattr(bounds, "kept_parents", spy)
+    # on the unipotent pair many upper brackets fall between the largest
+    # lower bracket and the largest norm; scaled by 2^-150, its level-6
+    # norms multiply to squares below the float range
+    tiny = unipotent_pair().scaled(2.0**-150)
+    for s in differential_sets() + [unipotent_pair(), tiny]:
+        m, d = s.size, s.dim
+        depth = {1: 10, 2: 7, 3: 5, 4: 4}[m]
+        g = NormSpec.ellipsoidal(np.eye(d) + 0.4 * rng.standard_normal((d, d)))
+        for n in (SPECTRAL, NormSpec.max_row_sum(), NormSpec.max_col_sum(), g):
+            ends = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
+            width = ends.width / ends.upper if ends.upper > 0 else 0.0
+            configs = [JsrConfig(depth, n), JsrConfig(depth, n, target_width=width * (1 + 1e-9))]
+            configs += [
+                JsrConfig(depth + 2, n, count_words(m, depth) + dc) for dc in (-1, 0, 1)
+            ]
+            for config in configs:
+                got = jsr_estimate(s, config)
+                with monkeypatch.context() as mp:
+                    mp.setattr(bounds, "kept_parents", every_parent)
+                    full = jsr_estimate(s, config)
+                assert answers(got) == answers(full)
+    assert sum(pruned) > 0
+
+
+def test_last_level_is_not_allocated_whole():
+    # half the bytes of the (4, 4, 8) sweep's last level; the whole level is
+    # 16 MiB, and only its parents (a quarter of it) live at the end
+    s = gaussian_set(4, 4, seed=47)
+    tracemalloc.start()
+    try:
+        jsr_estimate(s, JsrConfig(depth=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4**8 * 16 * 16 // 2
 
 
 # --- conjugation_search ------------------------------------------------------
@@ -391,10 +454,12 @@ def test_rota_strang_zero_set():
     assert tail == 0.0
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 def test_rota_strang_rejects_non_positive_r(r):
-    with pytest.raises(ValueError, match="r must be positive"):
-        rota_strang_norm(swap_pair(), r, np.array([1.0, 0.0]), 3)
+    # on the zero set an infinite r once gave 0 * inf = NaN terms
+    for s in (swap_pair(), MatrixSet.from_arrays([np.zeros((2, 2))])):
+        with pytest.raises(ValueError, match="r must be positive"):
+            rota_strang_norm(s, r, np.array([1.0, 0.0]), 3)
 
 
 def test_rota_strang_divergent():

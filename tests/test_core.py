@@ -13,6 +13,7 @@ from jsrkit.core import (
     BudgetExceededError,
     EigensolverError,
     MatrixSet,
+    NormKind,
     NormSpec,
     batch_operator_norms,
     batch_spectral_radii,
@@ -143,15 +144,20 @@ def test_set_norm():
     assert set_norm(t, NormSpec.spectral()) == pytest.approx(1.0)
 
 
-def radius_bound_reference(stack):
-    """min(||A||_1, ||A||_inf, ||A||_F) per row, computed on A / max|entry|;
+def norms_reference(stack):
+    """(||A||_1, ||A||_inf, ||A||_F) per row, computed on A / max|entry|;
     inf where that largest |entry| is subnormal."""
     a = np.abs(stack)
     top = a.max(axis=(1, 2))
     b = a / np.where(top > 0, top, 1.0)[:, np.newaxis, np.newaxis]
-    rows, cols = b.sum(axis=2).max(axis=1), b.sum(axis=1).max(axis=1)
-    bound = np.minimum(np.minimum(rows, cols), np.sqrt((b * b).sum(axis=(1, 2)))) * top
-    return np.where((top < np.finfo(float).tiny) & (top > 0), np.inf, bound)
+    cols, rows = b.sum(axis=1).max(axis=1), b.sum(axis=2).max(axis=1)
+    norms = np.stack([cols, rows, np.sqrt((b * b).sum(axis=(1, 2)))], axis=1) * top[:, None]
+    return np.where(((top < np.finfo(float).tiny) & (top > 0))[:, None], np.inf, norms)
+
+
+def radius_bound_reference(stack):
+    """min(||A||_1, ||A||_inf, ||A||_F) per row, as ``norms_reference``."""
+    return norms_reference(stack).min(axis=1)
 
 
 def assert_max_norm_matches_full_svd(stack, n=NormSpec.spectral()):
@@ -160,6 +166,12 @@ def assert_max_norm_matches_full_svd(stack, n=NormSpec.spectral()):
     assert top.value == full.max()
     assert top.index == np.argmax(full)
     np.testing.assert_allclose(top.radius_bounds, radius_bound_reference(stack), rtol=1e-13)
+    np.testing.assert_allclose(top.norms, norms_reference(stack), rtol=1e-13)
+    if n.kind is NormKind.ELLIPSOIDAL:
+        conj = np.einsum("ij,njk,kl->nil", n.g, stack, n.g_inv)
+        np.testing.assert_allclose(top.bracketed, norms_reference(conj), rtol=1e-13)
+    else:
+        assert top.bracketed is top.norms
     # the bound comes from A itself, whatever the norm
     row_sum = max_operator_norm(stack, NormSpec.max_row_sum())
     assert np.array_equal(top.radius_bounds, row_sum.radius_bounds)

@@ -854,3 +854,54 @@ def test_nilpotency_word_cap():
     with pytest.raises(BudgetExceededError, match=f"{need} words .* cap of {need - 1};"):
         padic_nilpotency_exact(s, word_cap=need - 1)
     assert not padic_nilpotency_exact(s, word_cap=need)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nilpotency_is_a_bottom_power_side(p):
+    # jsrkit padic reads nilpotency from check_ultra_boca: ||S^d||_0 is
+    # BOTTOM exactly when every length-d product vanishes.  The sets are
+    # those of the tests above, conjugated triangular ones at d <= 3 so that
+    # the exact sweep stays short
+    rng = random.Random(300 + p)
+    sets = [
+        intset([[[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 5], [0, 0, 0], [0, 0, 0]]], p),
+        intset([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], p),
+        intset([[[0, 0], [0, 0]]], p),
+        PAdicMatrixSet([[[0, 1], [0, 0]]], p),
+        PAdicMatrixSet([[[0, 1], [Fraction(3, 10**8), 0]]], p),
+    ]
+    for d in (2, 3):
+        for m in (1, 2):
+            strict = rand_strict_upper(rng, d, m)
+            g, ginv = elementary_conjugator(rng, d)
+            lower = [[list(col) for col in zip(*a)] for a in strict]
+            bent = [[row[:] for row in strict[0]]] + strict[1:]
+            bent[0][d - 1][rng.randrange(d - 1)] = Fraction(1, p)
+            for tri in (strict, lower, bent):
+                conj = [fraction_matmul(fraction_matmul(g, a), ginv) for a in tri]
+                sets.append(PAdicMatrixSet(conj, p))
+    for _ in range(30):
+        d, m = rng.randint(1, 3), rng.randint(1, 3)
+        sets.append(
+            PAdicMatrixSet(
+                [
+                    [
+                        [
+                            Fraction(rng.choice([-1, 2]), rng.choice([1, p, 7, 3 * p]))
+                            if rng.random() < 0.3
+                            else 0
+                            for _ in range(d)
+                        ]
+                        for _ in range(d)
+                    ]
+                    for _ in range(m)
+                ],
+                p,
+            )
+        )
+    hits = [0, 0]
+    for s in sets:
+        nil = padic_nilpotency_exact(s)
+        assert check_ultra_boca(s).lhs.is_bottom == nil
+        hits[nil] += 1
+    assert all(hits)
