@@ -20,17 +20,20 @@ the SVDs that cannot change a level's maximum, and the free bound rho(A)
 <= min(||A||_1, ||A||_inf, ||A||_F), which skips the eigensolves that
 cannot reach the running lower bound; both tests carry a guard against
 roundoff.  The last level (the depth, or the last one the word budget
-admits) has no descendants to lose, so there ``core.kept_parents`` drops
+admits) has no descendants to lose, so there ``core._kept_parents`` drops
 every child A W whose bounds from the norms of A and W, by
 submultiplicativity and widened against roundoff, show both skips would
-hold; the dropped words count as enumerated and as skipped.  Results are
-bit-identical to evaluating every word in full, with one exception in the
-counts: a child whose computed entries would all be subnormal gets no
-bracket and no radius bound in the full computation, which then runs its
-SVD and its eigensolve.  Children whose bounds put them there are built,
-but one whose entries fall there only by cancellation can be dropped, so
-``svd_run`` and ``eig_skipped`` could differ there, never a bound or a
-witness.
+hold; the dropped words count as enumerated and as skipped.  Under an
+ellipsoidal norm the last level is built whole.  Results are bit-identical
+to evaluating every word in full, with one exception in the counts: a
+child whose computed entries would all be subnormal gets no bracket and no
+radius bound in the full computation, which then runs its SVD and its
+eigensolve.  Children whose product bound is subnormal are built, but one
+whose product bound is normal can still come out subnormal, by
+cancellation or because the entries of its factors spread widely in size
+(diag(1e-160, 1) times diag(1e-160, 0)), and can be dropped.  So
+``svd_run``, ``svd_skipped`` and ``eig_skipped`` could differ there, never
+a bound or a witness.
 """
 
 from __future__ import annotations
@@ -47,17 +50,18 @@ from jsrkit.core import (
     WORD_CAP,
     JsrError,
     MatrixSet,
+    NormKind,
     NormSpec,
     Word,
     batch_operator_norms,
     batch_spectral_radii,
     check_budget,
     count_words,
-    kept_parents,
     max_operator_norm,
     product_levels,
-    pruned_level,
     word_from_index,
+    _children,
+    _kept_parents,
 )
 
 __all__ = [
@@ -224,10 +228,17 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
         if k > 1 and (k == depth or count_words(m, k + 1) > config.word_cap):
             # the last level: build only the children that can matter, once
             # level k - 1, which the generator holds too, is freed
-            wanted = kept_parents(s.stack, level, first, norms, config.norm, k, cut)
+            wanted = np.flatnonzero(
+                _kept_parents(s.stack, level, first, norms, config.norm, k, cut)
+            )
             level = level[wanted]
             levels.close()
-            level, built, norms = pruned_level(s.stack, level, wanted, config.norm)
+            level = _children(s.stack, level)
+            built = (wanted[:, np.newaxis] * m + np.arange(m)).reshape(-1)
+            norms = max_operator_norm(level, config.norm)
+            norms = norms._replace(index=int(built[norms.index]))
+            if config.norm.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL):
+                svd_skipped += level_count - built.size  # the unbuilt words
         else:
             level = next(levels)
             norms = max_operator_norm(level, config.norm)

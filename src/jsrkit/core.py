@@ -37,8 +37,6 @@ __all__ = [
     "operator_norm",
     "LevelNorms",
     "max_operator_norm",
-    "kept_parents",
-    "pruned_level",
     "vector_norm",
     "set_norm",
     "count_words",
@@ -301,9 +299,6 @@ class LevelNorms(NamedTuple):
     svd_skipped: int
     # per row: (||A||_1, ||A||_inf, ||A||_F), inf where the max |entry| is subnormal
     norms: np.ndarray
-    # the same of the rows the norm side brackets: g A g^-1 under the
-    # ellipsoidal kind, ``norms`` itself under the others
-    bracketed: np.ndarray
     scale: np.ndarray  # per row: the max |entry|
 
     @property
@@ -353,7 +348,7 @@ _BLOCK_ENTRIES = 1 << 16
 # error of L (1 - 1e-12) itself.
 _SKIP_GUARD = 64.0
 
-# kept_parents leaves child C = A W of level k (A a member, W a row of level
+# _kept_parents leaves child C = A W of level k (A a member, W a row of level
 # k - 1) unbuilt only when bounds from the rows of A and W show that
 # max_operator_norm on the whole level would skip its SVD (or find its sum
 # below the maximum) and bounds.jsr_estimate its eigensolve.  Each bound is
@@ -369,27 +364,23 @@ _SKIP_GUARD = 64.0
 #   bar the ldexp of rows far below it.  So upper(C) (1 + g) < L (1 - g)
 #   whenever bound (1 + 2 g) < F (1 - 2 g), with about 100 d eps to spare,
 #   and likewise sum(C) < F whenever a sum bound passes.
-# * Under the ellipsoidal kind the norm side brackets the computed
-#   conjugates X = g A g^-1, whose products no longer err relatively: the
-#   conjugates of A, W and C each err by at most 4 d^2 eps kappa N(.) in N,
-#   kappa = max_N N(g) N(g^-1) (d^2 terms of three factors), and so N(g C
-#   g^-1) tops N(X_A) N(X_W) by at most 5 (4 d^2 eps) kappa^2 N(A) N(W);
-#   g^-1 g = I + O(d eps kappa) adds a few d eps kappa^2 N(A) N(W) more.
-#   Each product gets 64 d^2 eps kappa^2 N(A) N(W) added.
 # * The eigenvalue side compares (bound (1 + 2 g))^(1/k) with the sweep's
 #   cut times 1 - 2 g, both sides rooted as the sweep roots its own radius
 #   bounds, so that the margin does not shrink with k.
-# None of this holds once a child can overflow, so a level whose members'
-# and parents' largest |entries| allow an inf is built whole, as is one
-# whose floor is not finite.  No product of two norms leaves the float range
-# unless the child's own norms do: sqrt(||.||_1 ||.||_inf) is taken as a
-# product of square roots.  A child whose computed entries are all
-# subnormal gets (0, inf) brackets and an infinite radius bound above, so
-# the whole level SVDs and eigensolves it: every child whose radius bound
-# is subnormal is built.  One whose entries come out subnormal only by
-# cancellation can still be left out; only svd_run and eig_skipped can then
-# differ, never a norm, radius, index or witness, since such a child stays
-# far below the floor.
+# The ellipsoidal kind brackets the conjugates g A g^-1, whose computed
+# products do not err relatively, so its last level is built whole.  So is
+# a level whose members' and parents' largest |entries| allow an inf in a
+# child, or whose floor is not finite.  No product of two norms leaves the
+# float range unless the child's own norms do: sqrt(||.||_1 ||.||_inf) is
+# taken as a product of square roots.  A child whose computed entries are
+# all subnormal gets (0, inf) brackets and an infinite radius bound above,
+# so the whole level SVDs and eigensolves it.  Every child whose product
+# bound is subnormal is built, but one whose product bound is normal can
+# still come out subnormal, by cancellation or because its factors' entries
+# spread widely in size (A = diag(1e-160, 1), W = diag(1e-160, 0) give AW =
+# diag(1e-320, 0) under a bound of 1e-160).  Dropping it can change only
+# svd_run, svd_skipped and eig_skipped, never a norm, radius, index or
+# witness, since such a child stays far below the floor and the cut.
 
 
 def _max_last(x: np.ndarray) -> np.ndarray:
@@ -439,7 +430,6 @@ def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
     svd = n.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL)
     # these outlive the call
     scale, norms = np.empty(count), np.empty((count, 3))
-    bracketed = np.empty((count, 3)) if n.kind is NormKind.ELLIPSOIDAL else norms
     lower, upper, sums = np.empty((3, count))
     exps = np.empty(count, dtype=np.int32)
     rows = max(1, _BLOCK_ENTRIES // (d * d))
@@ -453,18 +443,16 @@ def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
         exps[part], lower[part], upper[part], norms[part] = _bracket(a, top)
         if n.kind is NormKind.ELLIPSOIDAL:
             a = np.abs(np.einsum("ij,njk,kl->nil", n.g, stack[part], n.g_inv))
-            exps[part], lower[part], upper[part], bracketed[part] = _bracket(
-                a, _max_last(_max_last(a))
-            )
+            exps[part], lower[part], upper[part], _ = _bracket(a, _max_last(_max_last(a)))
 
     if not svd:
         i = int(np.argmax(sums))
-        return LevelNorms(float(sums[i]), i, 0, 0, norms, bracketed, scale)
+        return LevelNorms(float(sums[i]), i, 0, 0, norms, scale)
     # compare on the scale of the largest row, where the brackets that
     # matter stay normal numbers; exactly the zero rows have upper = 0
     nonzero = upper != 0
     if not nonzero.any():
-        return LevelNorms(0.0, 0, 0, count, norms, bracketed, scale)
+        return LevelNorms(0.0, 0, 0, count, norms, scale)
     exps -= exps[nonzero].max()
     np.ldexp(lower, exps, out=lower)
     np.ldexp(upper, exps, out=upper)
@@ -473,12 +461,10 @@ def max_operator_norm(stack: np.ndarray, n: NormSpec = SPECTRAL) -> LevelNorms:
     keep = np.flatnonzero(~(upper * (1 + guard) < best * (1 - guard)))
     values = batch_operator_norms(stack[keep], n)
     j = int(np.argmax(values))
-    return LevelNorms(
-        float(values[j]), int(keep[j]), keep.size, count - keep.size, norms, bracketed, scale
-    )
+    return LevelNorms(float(values[j]), int(keep[j]), keep.size, count - keep.size, norms, scale)
 
 
-def kept_parents(
+def _kept_parents(
     stack: np.ndarray,
     parents: np.ndarray,
     members: LevelNorms,
@@ -497,29 +483,22 @@ def kept_parents(
     whole level's ``max_operator_norm`` would skip its SVD, or find its sum
     below the maximum, against a floor taken from the children of the parent
     with the largest norm, and that min(||.||_1, ||.||_inf, ||.||_F)^(1/k)
-    stays below ``cut``.  The comments at ``_SKIP_GUARD`` say why no
-    rounding can drop a child that matters.
+    stays below ``cut``.  Under the ellipsoidal kind every row is kept.
+    The comments at ``_SKIP_GUARD`` say why no rounding can drop a child
+    that matters.
     """
     m, d = stack.shape[0], stack.shape[1]
     count = parents.shape[0]
-    eps = np.finfo(float).eps
-    g = 2 * _SKIP_GUARD * d * eps
-    kappa = 1.0
-    if n.kind is NormKind.ELLIPSOIDAL:
-        kappa = max(
-            float(np.linalg.norm(n.g, o) * np.linalg.norm(n.g_inv, o)) for o in (1, np.inf, "fro")
-        )
-    eta = _SKIP_GUARD * d * d * eps * kappa**2  # the conjugates' own error
+    g = 2 * _SKIP_GUARD * d * np.finfo(float).eps
     keep = np.ones(count, dtype=bool)
-    # no child, nor its conjugate, can hold an inf or a NaN
-    if not 8 * d**3 * kappa * members.scale.max() * prev.scale.max() < np.finfo(float).max:
+    if n.kind is NormKind.ELLIPSOIDAL:
+        return keep
+    # no child can hold an inf or a NaN
+    if not 8 * d**3 * members.scale.max() * prev.scale.max() < np.finfo(float).max:
         return keep
     # the floor: the largest lower bracket (or sum) among the children of
     # the parent with the largest norm, computed as max_operator_norm would
-    kids = _children(stack, parents[prev.index : prev.index + 1])
-    if n.kind is NormKind.ELLIPSOIDAL:
-        kids = np.einsum("ij,njk,kl->nil", n.g, kids, n.g_inv)
-    a = np.abs(kids)
+    a = np.abs(_children(stack, parents[prev.index : prev.index + 1]))
     if n.kind in (NormKind.MAX_ROW_SUM, NormKind.MAX_COL_SUM):
         floor = float(_max_last(a.sum(axis=2 if n.kind is NormKind.MAX_ROW_SUM else 1)).max())
     else:
@@ -537,11 +516,6 @@ def kept_parents(
         # the whole level SVDs and eigensolves a child whose entries all
         # come out subnormal, as it gets no bracket
         drop &= ~((0 < radius) & (radius < np.finfo(float).tiny))
-        if n.kind is NormKind.ELLIPSOIDAL:
-            col, row, fro = (
-                np.multiply.outer(prev.bracketed[part, j], members.bracketed[:, j]) + eta * plain
-                for j, plain in enumerate((col, row, fro))
-            )
         if n.kind is NormKind.MAX_ROW_SUM:
             bound = row
         elif n.kind is NormKind.MAX_COL_SUM:
@@ -551,28 +525,6 @@ def kept_parents(
         drop &= bound * (1 + g) < floor * (1 - g)
         keep[part] = ~drop.all(axis=1)
     return keep
-
-
-def pruned_level(
-    stack: np.ndarray, parents: np.ndarray, keep: np.ndarray, n: NormSpec
-) -> tuple[np.ndarray, np.ndarray, LevelNorms]:
-    """The children of the rows ``keep`` marks, and what the whole level's
-    ``max_operator_norm`` says, given ``kept_parents``' mask ``keep``.
-
-    ``parents`` holds only the marked rows of level k - 1.  Returns their
-    children in row order, the children's rows in level k, and their
-    ``max_operator_norm`` with the argmax's row in level k and every child
-    left out counted as a skipped SVD.  So value, index, svd_run and
-    svd_skipped are the whole level's bit for bit.
-    """
-    m = stack.shape[0]
-    built = (np.flatnonzero(keep)[:, np.newaxis] * m + np.arange(m)).reshape(-1)
-    level = _children(stack, parents)
-    norms = max_operator_norm(level, n)
-    skipped = norms.svd_skipped
-    if n.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL):
-        skipped += (keep.size - parents.shape[0]) * m
-    return level, built, norms._replace(index=int(built[norms.index]), svd_skipped=skipped)
 
 
 def vector_norm(x, n: NormSpec = SPECTRAL) -> float:

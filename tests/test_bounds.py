@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jsrkit import bounds, certificates, core
+from jsrkit import bounds, certificates
 from jsrkit.bounds import (
     DivergentSeriesError,
     IndeterminateRankError,
@@ -243,12 +243,9 @@ def full_max_operator_norm(stack, n=SPECTRAL):
     """The reference: every row's norm through batch_operator_norms."""
     norms = batch_operator_norms(stack, n)
     i = int(np.argmax(norms))
-    plain = norms_reference(stack)
-    bracketed = plain
-    if n.g is not None:
-        bracketed = norms_reference(np.einsum("ij,njk,kl->nil", n.g, stack, n.g_inv))
     return LevelNorms(
-        float(norms[i]), i, len(norms), 0, plain, bracketed, np.abs(stack).max(axis=(1, 2))
+        float(norms[i]), i, len(norms), 0,
+        norms_reference(stack), np.abs(stack).max(axis=(1, 2)),
     )
 
 
@@ -296,8 +293,8 @@ def test_norm_skip_matches_full_svds(monkeypatch):
 
             fast = run()
             with monkeypatch.context() as mp:
-                for module in (core, bounds, certificates):
-                    mp.setattr(module, "max_operator_norm", full_max_operator_norm)
+                mp.setattr(bounds, "max_operator_norm", full_max_operator_norm)
+                mp.setattr(certificates, "max_operator_norm", full_max_operator_norm)
                 assert run() == fast
 
 
@@ -310,8 +307,7 @@ def test_eig_skip_matches_full_eigensolves(monkeypatch):
         for n in (SPECTRAL, NormSpec.max_row_sum(), NormSpec.max_col_sum(), NormSpec.ellipsoidal(g)):
             fast = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
             with monkeypatch.context() as mp:
-                for module in (core, bounds):
-                    mp.setattr(module, "max_operator_norm", every_eigensolve)
+                mp.setattr(bounds, "max_operator_norm", every_eigensolve)
                 full = jsr_estimate(s, JsrConfig(depth=depth, norm=n))
             assert full.diagnostics["eig_skipped"] == 0
             skipped += fast.diagnostics["eig_skipped"]
@@ -326,10 +322,11 @@ def answers(iv):
 
 def test_last_level_pruning_matches_the_whole_level(monkeypatch):
     """Every answer and count equals the sweep that builds its whole last
-    level, across depth, budget and width stops."""
+    level, across depth, budget and width stops; where a child's entries
+    underflow only the counts may differ."""
     rng = np.random.default_rng(43)
     pruned = []
-    kept_parents = bounds.kept_parents
+    kept_parents = bounds._kept_parents
 
     def spy(*args):
         keep = kept_parents(*args)
@@ -339,7 +336,7 @@ def test_last_level_pruning_matches_the_whole_level(monkeypatch):
     def every_parent(stack, parents, *rest):
         return np.ones(len(parents), dtype=bool)
 
-    monkeypatch.setattr(bounds, "kept_parents", spy)
+    monkeypatch.setattr(bounds, "_kept_parents", spy)
     # on the unipotent pair many upper brackets fall between the largest
     # lower bracket and the largest norm; scaled by 2^-150, its level-6
     # norms multiply to squares below the float range
@@ -358,10 +355,26 @@ def test_last_level_pruning_matches_the_whole_level(monkeypatch):
             for config in configs:
                 got = jsr_estimate(s, config)
                 with monkeypatch.context() as mp:
-                    mp.setattr(bounds, "kept_parents", every_parent)
+                    mp.setattr(bounds, "_kept_parents", every_parent)
                     full = jsr_estimate(s, config)
                 assert answers(got) == answers(full)
     assert sum(pruned) > 0
+
+    # A = diag(1e-160, 1) times W = A Z = diag(1e-160, 0) comes out as
+    # diag(1e-320, 0) under a normal product bound of 1e-160: the whole
+    # level SVDs and eigensolves it, the pruned sweep drops it, and only
+    # those counts differ
+    spread = MatrixSet.from_arrays([np.diag([1e-160, 1.0]), np.diag([1.0, 0.0])])
+    for n in (SPECTRAL, NormSpec.max_row_sum(), NormSpec.max_col_sum()):
+        got = jsr_estimate(spread, JsrConfig(3, n))
+        with monkeypatch.context() as mp:
+            mp.setattr(bounds, "_kept_parents", every_parent)
+            full = jsr_estimate(spread, JsrConfig(3, n))
+        assert got.diagnostics["eig_skipped"] > full.diagnostics["eig_skipped"]
+        for iv in (got, full):
+            for count in ("svd_run", "svd_skipped", "eig_skipped"):
+                del iv.diagnostics[count]
+        assert answers(got) == answers(full)
 
 
 def test_last_level_is_not_allocated_whole():
