@@ -533,6 +533,8 @@ def barabanov_approx(
         raise ValueError("rho_hat must be positive")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if sample_size < 1:
+        raise ValueError("sample_size must be >= 1")
     check_budget(s.size, depth, word_cap, f"barabanov_approx to depth {depth}")
     if not math.isfinite(rho_hat):
         raise ValueError(f"rho_hat must be finite, got {rho_hat}")

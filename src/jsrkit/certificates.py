@@ -189,8 +189,9 @@ def siegel_combination(
         raise ValueError("xs must be a nonempty list of equal-length vectors")
     nv, d = xmat.shape
     for i in range(nv):
-        if vector_norm(xmat[i], n) > 1.0 + TOL_REL:
-            raise ValueError(f"vector bound violated: ||xs[{i}]|| > 1")
+        # written as "not <=" so that a NaN vector is rejected too
+        if not vector_norm(xmat[i], n) <= 1.0 + TOL_REL:
+            raise ValueError(f"vector bound violated: ||xs[{i}]|| is not <= 1")
 
     if enforce_hypothesis and (1 + t) ** nv <= (1.0 + 2.0 * nv * t / eps) ** d:
         raise HypothesisUnmetError(
@@ -272,6 +273,8 @@ def convex_hull_bound_check(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     d = s.dim
     eps = lower_bound(s, n * d, word_cap=word_cap).value
     if eps > 1.0:
@@ -376,6 +379,8 @@ def trajectory_return_search(
 
     if x0 is not None:
         x = np.asarray(x0, dtype=np.complex128).reshape(-1)
+        if not np.isfinite(x).all():
+            raise ValueError("x0 must be finite")
         nrm = np.linalg.norm(x)
         if nrm == 0:
             raise ValueError("x0 must be nonzero")

@@ -246,12 +246,7 @@ def spectral_radius(a) -> float:
     Raises EigensolverError if the QR iteration fails; the failure is never
     masked as a zero.
     """
-    m = _as_complex_stack([a])[0]
-    try:
-        ev = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed on a {m.shape[0]} x {m.shape[0]} matrix: {exc}") from exc
-    return float(np.max(np.abs(ev))) if ev.size else 0.0
+    return float(batch_spectral_radii(_as_complex_stack([a]))[0])
 
 
 def batch_spectral_radii(stack: np.ndarray) -> np.ndarray:

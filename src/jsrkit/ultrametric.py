@@ -1,17 +1,18 @@
 """Exact joint spectral radius over the rationals with a p-adic absolute value.
 
 Everything here is a decision procedure: eigenvalue magnitudes come from
-Newton polygons of exact characteristic polynomials, the joint spectral
-radius equals the peak of Lambda(S^k)^(1/k) over k up to an explicit
-length bound ell(d), and the algebra the set generates is nilpotent
-exactly when every length-d product vanishes.  Each set is scaled once,
-by the lcm D of its denominators and by p^-vmin, vmin the least entry
-valuation of the integer set, into an object array of arbitrary-precision
-ints; the word products come from ``core.product_levels``, the engine the
-floating-point side uses, run on that array.  The scaled set has norm
-exponent 0, and a length-k product of it has every exponent
-k (v_p(D) - vmin) above the original, so results shift back by that much
-per letter.  No floating point, no tolerances.
+the smallest Newton-polygon slope of exact characteristic polynomials,
+the joint spectral radius equals the peak of Lambda(S^k)^(1/k) over k up
+to an explicit length bound ell(d), and the algebra the set generates is
+nilpotent exactly when every length-d product vanishes.  Each set is
+scaled once, by the lcm D of its denominators and by p^-vmin, vmin the
+least entry valuation of the integer set, into an object array of
+arbitrary-precision ints; the word products come from
+``core.product_levels``, the engine the floating-point side uses, run on
+that array.  The scaled set has norm exponent 0, and a length-k product
+of it has every exponent k (v_p(D) - vmin) above the original, so
+results shift back by that much per letter.  No floating point, no
+tolerances.
 
 Magnitudes are carried in exponent form: PAdicMagnitude(e) denotes the
 value p^(-e) with e rational (roots in the algebraic closure can have
@@ -33,7 +34,6 @@ from .core import WORD_CAP, Word, check_budget, product_levels, word_from_index
 
 __all__ = [
     "BOTTOM",
-    "NewtonPolygon",
     "PAdicJsrResult",
     "PAdicMagnitude",
     "PAdicMatrixSet",
@@ -97,11 +97,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
+def _valuation(q, p: int) -> int:
+    # v_p of a nonzero int or Fraction; p is prime
+    n, den, v = q.numerator, q.denominator, 0
     while n % p == 0:
         n //= p
         v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
     return v
 
 
@@ -113,9 +117,7 @@ def padic_valuation(q, p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     q = as_rational(q)
-    if q == 0:
-        return None
-    return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
+    return None if q == 0 else _valuation(q, p)
 
 
 # --- magnitudes ---------------------------------------------------------------
@@ -180,65 +182,39 @@ class PAdicMagnitude:
 BOTTOM = PAdicMagnitude(None)
 
 
-# --- Newton polygons ----------------------------------------------------------
+# --- the largest root ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull of (i, v_p(a_i)) over the nonzero coefficients.
-
-    Slopes use the valuation-drop convention: the segment from (i, v_i) to
-    (j, v_j) with i < j has slope (v_i - v_j) / (j - i), so a root of
-    valuation m contributes a segment of slope m.  ``min_slope`` is the
-    smallest slope (the segment meeting the rightmost vertex), which for a
-    monic polynomial is the valuation of its largest-magnitude root; it is
-    None when fewer than two points exist.
-    """
-
-    points: tuple[tuple[int, int], ...]
-    lower_hull: tuple[tuple[int, int], ...]
-    min_slope: Fraction | None
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence, p: int) -> "NewtonPolygon":
-        cs = [as_rational(c) for c in coeffs]
-        points = tuple(
-            (i, padic_valuation(c, p)) for i, c in enumerate(cs) if c != 0
-        )
-        hull: list[tuple[int, int]] = []
-        for pt in points:  # already sorted by index; Andrew monotone chain
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(pt)
-        if len(hull) >= 2:
-            (xa, ya), (xb, yb) = hull[-2], hull[-1]
-            min_slope = Fraction(ya - yb, xb - xa)
-        else:
-            min_slope = None
-        return cls(points, tuple(hull), min_slope)
+def _root_exponent(coeffs: Sequence, p: int) -> Fraction | None:
+    # the smallest Newton-polygon slope of the monic polynomial with these
+    # ascending int or Fraction coefficients: min over nonzero c_i, i < d,
+    # of v_p(c_i) / (d - i); None for t^d
+    d = len(coeffs) - 1
+    return min(
+        (Fraction(_valuation(c, p), d - i) for i, c in enumerate(coeffs[:d]) if c),
+        default=None,
+    )
 
 
 def max_root_magnitude(coeffs: Sequence, p: int) -> PAdicMagnitude:
     """Largest p-adic magnitude among the roots of a monic polynomial.
 
-    Equals p^(-m) for m the minimal Newton-polygon slope; BOTTOM exactly
-    when the polynomial is t^d.  Coefficients are ascending, ``coeffs[i]``
-    multiplying t^i.
+    Coefficients are ascending, ``coeffs[i]`` multiplying t^i, and d is the
+    degree.  The answer is p^(-m) for m the smallest Newton-polygon slope,
+    min over nonzero c_i (i < d) of v_p(c_i) / (d - i): the line of slope
+    -m through (d, 0) is the steepest that stays below every point
+    (i, v_p(c_i)), so it carries the hull's last segment (N. Koblitz,
+    p-adic Numbers, p-adic Analysis, and Zeta-Functions, IV.3).  BOTTOM
+    exactly when the polynomial is t^d.
     """
     cs = [as_rational(c) for c in coeffs]
     if len(cs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     if cs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    if all(c == 0 for c in cs[:-1]):
-        return BOTTOM
-    slope = NewtonPolygon.from_coeffs(cs, p).min_slope
-    assert slope is not None
-    return PAdicMagnitude(slope)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return PAdicMagnitude(_root_exponent(cs, p))
 
 
 # --- exact characteristic polynomials ------------------------------------------
@@ -348,7 +324,7 @@ class PAdicMatrixSet:
         shift = None
         if vmin >= 0:
             ints //= self.prime**vmin
-            shift = _int_valuation(den, self.prime) - vmin
+            shift = _valuation(den, self.prime) - vmin
         ints.flags.writeable = False
         return shift, ints
 
@@ -410,19 +386,6 @@ class PAdicJsrResult(NamedTuple):
     witness: Word
 
 
-def _lambda_exponent(flat, d: int, p: int):
-    # exponent of Lambda(matrix) = max root magnitude of its char poly,
-    # via the rightmost-hull-segment formula; None means BOTTOM
-    coeffs = _char_coeffs_flat(flat, d)
-    best = None
-    for i in range(d):
-        if coeffs[i] != 0:
-            v = Fraction(_int_valuation(coeffs[i], p), d - i)
-            if best is None or v < best:
-                best = v
-    return best
-
-
 def padic_jsr_exact(
     s: PAdicMatrixSet,
     *,
@@ -435,8 +398,8 @@ def padic_jsr_exact(
     which provably suffices; pass a smaller or larger value to trade
     completeness for time, e.g. in stability experiments) breadth-first,
     one level of ``core.product_levels`` over the scaled set at a time.
-    Each word's eigenvalue magnitude comes from the Newton polygon of its
-    exact characteristic polynomial; the return value is EXACT, with a
+    Each word's eigenvalue magnitude comes from the smallest Newton-polygon
+    slope of its exact characteristic polynomial; the return value is EXACT, with a
     witness word attaining it.  Ties go to the shortest word and then to
     the lexicographically first one.
 
@@ -468,7 +431,7 @@ def padic_jsr_exact(
             keep = live & (vmin * best_val.denominator < best_val.numerator * k)
         rows = np.flatnonzero(keep)
         for i in rows.tolist():
-            lam = _lambda_exponent(level[i].ravel().tolist(), d, p)
+            lam = _root_exponent(_char_coeffs_flat(level[i].ravel().tolist(), d), p)
             if lam is not None and (best_val is None or lam / k < best_val):
                 best_val, best_k, best_i = lam / k, k, i
         if best_val == 0 or not live.any():

@@ -545,6 +545,12 @@ def test_barabanov_rejects_bad_rho():
             barabanov_approx(unipotent_pair(), rho_hat, 2, word_cap=1)
 
 
+@pytest.mark.parametrize("sample_size", [0, -2])
+def test_barabanov_rejects_empty_sample(sample_size):
+    with pytest.raises(ValueError, match="sample_size must be >= 1"):
+        barabanov_approx(unipotent_pair(), 1.0, 2, sample_size=sample_size)
+
+
 # --- nilpotency_test ---------------------------------------------------------
 
 

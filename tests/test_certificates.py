@@ -184,6 +184,13 @@ def test_siegel_rejects_oversized_vectors():
         siegel_combination([np.array([2.0, 0.0])], 1, 0.5, enforce_hypothesis=False)
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.5, complex(0.0, math.nan)]])
+def test_siegel_rejects_nan_vectors(bad):
+    xs = [np.array([0.5, 0.0]), np.array(bad)]
+    with pytest.raises(ValueError, match="vector bound"):
+        siegel_combination(xs, 1, 0.5, enforce_hypothesis=False)
+
+
 # --- trace and convex hull ----------------------------------------------------
 
 
@@ -230,6 +237,13 @@ def test_hull_check_rejects_expanding_set():
     s = MatrixSet.from_arrays([2 * np.eye(2)])
     with pytest.raises(ValueError, match="hypothesis"):
         convex_hull_bound_check(s, 1)
+
+
+@pytest.mark.parametrize("samples", [-1, -3])
+def test_hull_check_rejects_negative_samples(samples):
+    s = MatrixSet.from_arrays([np.eye(2) / 2])
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        convex_hull_bound_check(s, 1, samples=samples)
 
 
 # --- trajectory returns -------------------------------------------------------
@@ -294,6 +308,15 @@ def test_trajectory_requires_two_steps():
     s = MatrixSet.from_arrays([np.eye(2)])
     with pytest.raises(ValueError):
         trajectory_return_search(s, SPECTRAL, 1)
+
+
+@pytest.mark.parametrize(
+    "x0", [[math.nan, 1.0], [math.inf, 1.0], [1.0, complex(0.0, math.nan)]]
+)
+def test_trajectory_rejects_non_finite_start(x0):
+    s = MatrixSet.from_arrays([np.eye(2)])
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        trajectory_return_search(s, SPECTRAL, 10, x0=x0)
 
 
 # --- near idempotents ---------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every expected value in here is either computed by hand, derived from an
 independent oracle (plain-loop Fraction word products, cofactor-expansion
-characteristic polynomials, brute force root valuations), or pinned by an
-exact identity; there are no tolerances anywhere in this file.
+characteristic polynomials, monotone-chain Newton polygons, brute force
+root valuations), or pinned by an exact identity; there are no tolerances anywhere in this file.
 """
 
 import itertools
@@ -18,7 +18,6 @@ from jsrkit.core import BudgetExceededError, count_words, product_levels, word_f
 from jsrkit.documents import InputDocument
 from jsrkit.ultrametric import (
     BOTTOM,
-    NewtonPolygon,
     PAdicMagnitude,
     PAdicMatrixSet,
     as_rational,
@@ -271,13 +270,36 @@ def test_char_poly_block_diagonal_convolves():
 # --- Newton polygons ------------------------------------------------------------
 
 
+def lower_hull(coeffs, p):
+    """The Newton polygon of ``coeffs`` (ascending): the lower convex hull of
+    the points (i, v_p(c_i)) of the nonzero coefficients, by Andrew's
+    monotone chain.  It is the oracle for the library's min-slope rule."""
+    hull = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        pt = (i, padic_valuation(c, p))
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) > 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    return hull
+
+
+def hull_slopes(hull):
+    """Segment slopes in the valuation-drop convention, left to right: the
+    segment from (i, v_i) to (j, v_j) has slope (v_i - v_j) / (j - i), so a
+    root of valuation m contributes a segment of slope m."""
+    return [Fraction(y1 - y2, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+
 def test_newton_polygon_two_split_roots():
     p = 5
     coeffs = [p**3, -(p + p**2), 1]  # (t - p)(t - p^2)
-    poly = NewtonPolygon.from_coeffs(coeffs, p)
-    assert poly.points == ((0, 3), (1, 1), (2, 0))
-    assert poly.lower_hull == ((0, 3), (1, 1), (2, 0))
-    assert poly.min_slope == 1
+    assert lower_hull(coeffs, p) == [(0, 3), (1, 1), (2, 0)]
+    assert hull_slopes(lower_hull(coeffs, p)) == [2, 1]
     assert max_root_magnitude(coeffs, p) == PAdicMagnitude(1)
 
 
@@ -285,15 +307,15 @@ def test_newton_polygon_drops_interior_point():
     # (t - 1)(t - p): the middle coefficient valuation 0 sits on the hull,
     # while a lifted variant t^2 + p t + p must skip the middle point
     p = 3
-    lifted = NewtonPolygon.from_coeffs([p, p, 1], p)
-    assert lifted.lower_hull == ((0, 1), (2, 0))
-    assert lifted.min_slope == Fraction(1, 2)
+    lifted = [p, p, 1]
+    assert lower_hull(lifted, p) == [(0, 1), (2, 0)]
+    assert max_root_magnitude(lifted, p) == PAdicMagnitude(Fraction(1, 2))
 
 
 def test_newton_polygon_single_point_has_no_slope():
-    poly = NewtonPolygon.from_coeffs([0, 0, 1], 2)
-    assert poly.points == ((2, 0),)
-    assert poly.min_slope is None
+    assert lower_hull([0, 0, 1], 2) == [(2, 0)]
+    assert hull_slopes([(2, 0)]) == []
+    assert max_root_magnitude([0, 0, 1], 2).is_bottom
 
 
 def test_max_root_magnitude_examples():
@@ -311,18 +333,20 @@ def test_max_root_magnitude_requires_monic():
         max_root_magnitude([1], 3)
 
 
+def test_max_root_magnitude_requires_a_prime():
+    for p in (1, 4):
+        for coeffs in ([1, 1], [0, 0, 1]):
+            with pytest.raises(ValueError, match="not prime"):
+                max_root_magnitude(coeffs, p)
+
+
 def test_newton_slopes_are_root_valuations():
     # diag(p, p^2, p^3): hull slopes, in drop convention, read 3, 2, 1
     p = 2
     rows = [[p, 0, 0], [0, p**2, 0], [0, 0, p**3]]
-    poly = NewtonPolygon.from_coeffs(char_poly_exact(rows), p)
-    hull = poly.lower_hull
-    slopes = [
-        Fraction(hull[i][1] - hull[i + 1][1], hull[i + 1][0] - hull[i][0])
-        for i in range(len(hull) - 1)
-    ]
-    assert slopes == [3, 2, 1]
-    assert poly.min_slope == 1
+    coeffs = char_poly_exact(rows)
+    assert hull_slopes(lower_hull(coeffs, p)) == [3, 2, 1]
+    assert max_root_magnitude(coeffs, p) == PAdicMagnitude(1)
 
 
 def test_newton_slope_sum_is_det_valuation():
@@ -334,14 +358,46 @@ def test_newton_slope_sum_is_det_valuation():
         coeffs = char_poly_exact(rows)
         if coeffs[0] == 0:
             continue  # singular: a zero root, no finite total
-        poly = NewtonPolygon.from_coeffs(coeffs, p)
-        hull = poly.lower_hull
-        total = sum(
-            Fraction(hull[i][1] - hull[i + 1][1]) for i in range(len(hull) - 1)
-        )
+        hull = lower_hull(coeffs, p)
+        total = sum(y1 - y2 for (_, y1), (_, y2) in zip(hull, hull[1:]))
         assert total == padic_valuation(coeffs[0], p)
         checked += 1
     assert checked > 30
+
+
+def test_max_root_magnitude_is_the_last_hull_slope():
+    # the exact sweep and max_root_magnitude share one min-slope rule, so
+    # brute_force agrees with the sweep by construction; this compares the
+    # rule with the hull itself on random monic polynomials
+    rng = random.Random(29)
+    seen = {"bottom": 0, "negative": 0, "fractional": 0, "dropped": 0}
+    for _ in range(400):
+        p = rng.choice([2, 3, 5])
+        d = rng.randint(1, 6)
+        coeffs = []
+        for _ in range(d):
+            kind = rng.random()
+            if kind < 0.3:
+                coeffs.append(0)
+            elif kind < 0.6:
+                den = rng.choice([1, 7, p, p**2, 3 * p**3])
+                coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), den))
+            else:
+                unit = rng.choice([-1, 1]) * rng.randint(1, 9)
+                coeffs.append(unit * p ** rng.randint(0, 6))
+        coeffs.append(1)
+        hull = lower_hull(coeffs, p)
+        got = max_root_magnitude(coeffs, p)
+        if len(hull) == 1:
+            assert got.is_bottom
+            seen["bottom"] += 1
+            continue
+        slope = hull_slopes(hull)[-1]
+        assert got == PAdicMagnitude(slope)
+        seen["negative"] += slope < 0
+        seen["fractional"] += slope.denominator > 1
+        seen["dropped"] += len(hull) < sum(c != 0 for c in coeffs)
+    assert min(seen.values()) >= 10, seen
 
 
 # --- matrix sets and norms ------------------------------------------------------
