@@ -55,6 +55,7 @@ from jsrkit.core import (
     Word,
     batch_operator_norms,
     batch_spectral_radii,
+    budget_depth,
     check_budget,
     count_words,
     max_operator_norm,
@@ -194,56 +195,52 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
     counts the rest.  Norm brackets skip the SVDs that cannot change a
     level's maximum.  The last level builds only the words whose bounds
     from their parents' norms allow either; the others count as enumerated
-    and skipped, as the module docstring says.  The lower end, its witness
-    and ``eig_skipped`` do not depend on ``config.norm``; ``lower_bound``
-    and ``upper_bound`` are the two ends of this interval under a strict
-    budget.  On budget exhaustion the deepest completed level determines a
+    and skipped, as the module docstring says.  The witness is the shortest
+    word, then the lexicographically first, whose value is within one part
+    in 1e12 of the lower end, however many words tie.  The lower end, its
+    witness and ``eig_skipped`` do not depend on ``config.norm``;
+    ``lower_bound`` and ``upper_bound`` are the two ends of this interval
+    under a strict budget.  The sweep goes to the deepest level
+    ``budget_depth`` admits; short of the depth, that level determines a
     (wider) valid interval, flagged in the diagnostics rather than raised.
     """
     depth = config.depth
     if depth < 1:
         raise ValueError("depth must be >= 1")
     m, d = s.size, s.dim
+    reach = budget_depth(m, depth, config.word_cap)
     eps = np.finfo(float).eps
-    best_low = 0.0
-    # (length, index, value) of every word still eligible as a witness
-    candidates: list[tuple[int, int, float]] = []
+    best_low = cut = 0.0
+    records: list[tuple[int, int, float]] = []  # (length, index, value)
     best_up = math.inf
     up_depth = 0
     eig_skipped = 0
     svd_run = 0
     svd_skipped = 0
     rows: list[tuple[float, int]] = []
-    budget_hit = False
     early_stop = False
 
-    levels = product_levels(s.stack, depth)
-    for k in range(1, depth + 1):
+    level = s.stack
+    for k in range(1, reach + 1):
         level_count = m**k
-        if count_words(m, k) > config.word_cap:
-            budget_hit = True
-            break
-        cut = best_low * (1 - 1e-12)
         built = None  # where set, row i of level is row built[i] of level k
-        if k > 1 and (k == depth or count_words(m, k + 1) > config.word_cap):
-            # the last level: build only the children that can matter, once
-            # level k - 1, which the generator holds too, is freed
-            wanted = np.flatnonzero(
-                _kept_parents(s.stack, level, first, norms, config.norm, k, cut)
-            )
-            level = level[wanted]
-            levels.close()
+        if k > 1:
+            if k == reach:
+                # the last level: build only the children that can matter,
+                # from a copy of their parents, once level k - 1 is freed
+                wanted = np.flatnonzero(
+                    _kept_parents(s.stack, level, first, norms, config.norm, k, cut)
+                )
+                level = level[wanted]
+                built = (wanted[:, np.newaxis] * m + np.arange(m)).reshape(-1)
             level = _children(s.stack, level)
-            built = (wanted[:, np.newaxis] * m + np.arange(m)).reshape(-1)
-            norms = max_operator_norm(level, config.norm)
+        norms = max_operator_norm(level, config.norm)
+        if k == 1:
+            first = norms
+        if built is not None:
             norms = norms._replace(index=int(built[norms.index]))
             if config.norm.kind in (NormKind.SPECTRAL, NormKind.ELLIPSOIDAL):
                 svd_skipped += level_count - built.size  # the unbuilt words
-        else:
-            level = next(levels)
-            norms = max_operator_norm(level, config.norm)
-            if k == 1:
-                first = norms
         svd_run += norms.svd_run
         svd_skipped += norms.svd_skipped
         rows.append((norms.value, norms.index))
@@ -261,16 +258,16 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
         radii = batch_spectral_radii(level[keep])
         radii[radii <= _EIG_NOISE_FACTOR * d * eps * norms.scale[keep]] = 0.0
         vals = radii ** (1.0 / k)
-        lev_best = float(vals.max(initial=0.0))
-        if lev_best > best_low:
-            best_low = lev_best
-            cut = best_low * (1 - 1e-12)
-            candidates = [c for c in candidates if c[2] >= cut]
-        # skipped words tie too at best_low == 0, but level 1 skips none
-        hits = np.flatnonzero(vals >= cut)[:1024]
+        best_low = max(best_low, float(vals.max(initial=0.0)))
+        cut = best_low * (1 - 1e-12)
+        # a record reaches the cut and tops every earlier word of its level;
+        # the first word, in (length, index) order, to reach the final cut is
+        # one.  Skipped words tie too at best_low == 0, but level 1 skips none
+        record = vals >= cut
+        record[1:] &= vals[1:] > np.maximum.accumulate(vals)[:-1]
         if built is not None:
             keep = built[keep]
-        candidates += [(k, int(keep[i]), float(vals[i])) for i in hits]
+        records += [(k, int(keep[i]), float(vals[i])) for i in np.flatnonzero(record)]
 
         if (
             config.target_width is not None
@@ -280,10 +277,7 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
             early_stop = True
             break
 
-    # every candidate keeps val >= best_low * (1 - 1e-12), so the first wins
-    witness: Word = ()
-    if candidates:
-        witness = word_from_index(candidates[0][1], candidates[0][0], m)
+    witness: Word = next((word_from_index(i, k, m) for k, i, v in records if v >= cut), ())
 
     diagnostics = {
         "depth_reached": float(len(rows)),
@@ -291,7 +285,7 @@ def jsr_estimate(s: MatrixSet, config: JsrConfig = JsrConfig()) -> JsrInterval:
         "eig_skipped": float(eig_skipped),
         "svd_run": float(svd_run),
         "svd_skipped": float(svd_skipped),
-        "budget_exhausted": 1.0 if budget_hit else 0.0,
+        "budget_exhausted": 1.0 if reach < depth and not early_stop else 0.0,
         "early_stop_width": 1.0 if early_stop else 0.0,
     }
     return JsrInterval(
@@ -309,9 +303,9 @@ def lower_bound(
 
     Returns the value together with an argmax witness word.  Ties (within
     one part in 1e12, to absorb eigensolver roundoff) go to the shortest
-    word and then to the lexicographically first one.  This is the lower
-    end of ``jsr_estimate`` under a strict budget: a depth the word cap
-    cannot reach raises instead of returning a partial result.
+    word and then to the lexicographically first one, however many tie.
+    This is the lower end of ``jsr_estimate`` under a strict budget: a depth
+    the word cap cannot reach raises instead of returning a partial result.
     """
     check_budget(s.size, depth, word_cap, f"lower_bound to depth {depth}")
     # the lower end does not depend on the norm; the row-sum one is the cheapest

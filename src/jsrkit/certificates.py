@@ -35,9 +35,9 @@ from .core import (
     Word,
     batch_operator_norms,
     batch_spectral_radii,
+    budget_depth,
     check_budget,
     eval_word,
-    max_operator_norm,
     operator_norm,
     product_levels,
     set_norm,
@@ -379,6 +379,8 @@ def trajectory_return_search(
 
     if x0 is not None:
         x = np.asarray(x0, dtype=np.complex128).reshape(-1)
+        if x.shape[0] != d:
+            raise ValueError(f"x0 length {x.shape[0]} != matrix dimension {d}")
         if not np.isfinite(x).all():
             raise ValueError("x0 must be finite")
         nrm = np.linalg.norm(x)
@@ -528,17 +530,17 @@ def check_polbd(
 ) -> TheoremReport:
     """Check max_{k <= 2d^3} rho(eval(w))^(1/|w|) >= jsr(S) / (2^8 d^5).
 
-    The peak is taken over all words up to depth 2d^3, clamped by the
-    sweep's budget rule to the deepest k with ``count_words(m, k) <=
+    The peak is taken over all words up to depth 2d^3, clamped by
+    ``budget_depth`` to the deepest k with ``count_words(m, k) <=
     word_cap`` (flagged); a clamped run can only confirm or abstain, never
     refute, since deeper words could still raise the left-hand side.
     """
     d = s.dim
     depth_full = 2 * d**3
-    peak = jsr_estimate(s, JsrConfig(depth_full, NormSpec.max_row_sum(), word_cap))
-    depth = int(peak.diagnostics["depth_reached"])
+    depth = budget_depth(s.size, depth_full, word_cap)
     if depth < 1:
         raise BudgetExceededError(s.size, word_cap, "peak radius at depth 1")
+    peak = jsr_estimate(s, JsrConfig(depth, NormSpec.max_row_sum(), word_cap))
     clamped = depth < depth_full
     c = 1.0 / (2**8 * d**5)
     rhs_lo, rhs_up = c * interval.lower, c * interval.upper
@@ -568,26 +570,23 @@ def check_boca_new(
 ) -> TheoremReport:
     """Check ||S^n1|| <= 2^7 d^4 jsr(S) ||S||^(n1 - 1) at n1 = 2d^2.
 
-    ||S^k|| is the max norm over all k-letter products.  If 2d^2 products
-    exceed the word budget, n1 is clamped down (flagged); clamped runs can
-    only confirm or abstain.  ||S^n1|| comes from ``interval.levels`` if they reach
-    n1 under n's kind and factor object, else from a rebuild; rhs overflow is inf.
+    ||S^k|| is the max norm over all k-letter products.  If the words up to
+    length 2d^2 exceed the budget, n1 is clamped by ``budget_depth``
+    (flagged); clamped runs can only confirm or abstain.  ||S^n1|| comes from
+    ``interval.levels`` if they reach n1 under n's kind and factor object,
+    else from a ``jsr_estimate`` sweep to n1 under the same word budget; rhs
+    overflow is inf.
     """
     d = s.dim
     n1_full = 2 * d * d
-    n1 = 0
-    while n1 < n1_full and s.size ** (n1 + 1) <= word_cap:
-        n1 += 1
+    n1 = budget_depth(s.size, n1_full, word_cap)
     if n1 < 1:
         raise BudgetExceededError(s.size, word_cap, "power norm at exponent 1")
     clamped = n1 < n1_full
-    swept = interval.norm
-    if swept and len(interval.levels) >= n1 and swept.kind is n.kind and swept.g is n.g:
-        lhs, idx = interval.levels[n1 - 1]
-    else:
-        for stack in product_levels(s.stack, n1):
-            pass
-        lhs, idx = max_operator_norm(stack, n)[:2]
+    levels, swept = interval.levels, interval.norm
+    if not (swept and len(levels) >= n1 and swept.kind is n.kind and swept.g is n.g):
+        levels = jsr_estimate(s, JsrConfig(n1, n, word_cap)).levels
+    lhs, idx = levels[n1 - 1]
     with np.errstate(over="ignore"):  # the same libm pow as float **, but saturating
         base = float(2**7 * d**4 * np.float64(set_norm(s, n)) ** (n1 - 1))
     rhs_lo, rhs_up = (base * x if x else 0.0 for x in (interval.lower, interval.upper))

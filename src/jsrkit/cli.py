@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=WORD_CAP, help="word budget")
+    cap_help = "word budget: words of every length up to the deepest level, summed"
+    common.add_argument("--cap", type=int, default=WORD_CAP, help=cap_help)
     common.add_argument("--seed", type=int, default=0, help="seed echoed in reports")
     common.add_argument("--csv", metavar="PATH", help="write a CSV summary")
     common.add_argument("--quiet", action="store_true", help="silence stderr notes, not reports")

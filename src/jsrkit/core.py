@@ -40,6 +40,7 @@ __all__ = [
     "vector_norm",
     "set_norm",
     "count_words",
+    "budget_depth",
     "word_from_index",
     "product_levels",
 ]
@@ -555,6 +556,17 @@ def count_words(set_size: int, depth: int) -> int:
     if set_size == 1:
         return depth
     return (set_size ** (depth + 1) - set_size) // (set_size - 1)
+
+
+def budget_depth(set_size: int, depth: int, word_cap: int) -> int:
+    """The deepest k <= depth with ``count_words(set_size, k) <= word_cap``,
+    0 if none: the one rule by which a word budget clamps a sweep."""
+    if set_size == 1:
+        return max(0, min(depth, word_cap))
+    k = 0
+    while k < depth and count_words(set_size, k + 1) <= word_cap:
+        k += 1
+    return k
 
 
 def check_budget(set_size: int, depth: int, word_cap: int, what: str) -> int:

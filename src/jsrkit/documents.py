@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +37,10 @@ FORMAT_VERSION = 1
 
 class ParseError(JsrError):
     """Malformed input document; the message names the offending field."""
+
+
+def _emit(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fail(path: str, message: str):
@@ -200,10 +204,7 @@ class InputDocument:
         return obj
 
     def emit(self) -> str:
-        return (
-            json.dumps(self.to_json_obj(), indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        )
+        return _emit(self.to_json_obj())
 
     def digest(self) -> str:
         return hashlib.sha256(self.emit().encode()).hexdigest()
@@ -226,20 +227,5 @@ class RunReport:
     results: dict
     wall_time_s: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "config": self.config,
-            "seed": self.seed,
-            "results": self.results,
-            "wall_time_s": self.wall_time_s,
-        }
-
     def emit(self) -> str:
-        return (
-            json.dumps(self.to_json_obj(), indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        )
+        return _emit(asdict(self))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jsrkit import bounds, certificates
+from jsrkit import bounds
 from jsrkit.bounds import (
     DivergentSeriesError,
     IndeterminateRankError,
@@ -100,6 +100,17 @@ def test_lower_bound_nilpotent_singleton():
     val, witness = lower_bound(s, 3)
     assert val == 0.0
     assert witness == (0,)  # ties resolve to the shortest word
+
+
+def test_witness_is_the_shortest_word_past_a_thousand_ties():
+    # 1,024 level-1 words reach the first cut, and the only one that still
+    # reaches the final cut is the 1,025th: the witness keeps every record
+    a, b = np.diag([1 - 5e-13, 0]), np.diag([1 - 3e-13, 0])
+    s = MatrixSet.from_arrays([a] * 1024 + [b, elem(0, 1, 2) * (1 + 1.2e-12), elem(1, 0, 2)])
+    iv = jsr_estimate(s, JsrConfig(2, NormSpec.max_row_sum()))
+    assert iv.lower == pytest.approx(1 + 6e-13, rel=1e-15)
+    assert iv.lower_witness == (1024,)
+    assert spectral_radius(eval_word(s, (1024,))) >= iv.lower * (1 - 1e-12)
 
 
 def test_lower_bound_monotone_in_depth():
@@ -293,8 +304,8 @@ def test_norm_skip_matches_full_svds(monkeypatch):
 
             fast = run()
             with monkeypatch.context() as mp:
+                # check_boca_new rebuilds through jsr_estimate, so bounds' name covers it
                 mp.setattr(bounds, "max_operator_norm", full_max_operator_norm)
-                mp.setattr(certificates, "max_operator_norm", full_max_operator_norm)
                 assert run() == fast
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jsrkit import certificates
+from jsrkit import bounds, certificates, core
 from jsrkit.bounds import JsrConfig, JsrInterval, jsr_estimate, lower_bound
 from jsrkit.certificates import (
     CombinationNotFoundError,
@@ -304,6 +304,12 @@ def test_trajectory_dies_on_zero_set():
         trajectory_return_search(s, SPECTRAL, 10, seed=0)
 
 
+def test_trajectory_checks_the_length_of_x0():
+    s = MatrixSet.from_arrays([np.eye(2)])
+    with pytest.raises(ValueError, match="x0 length 3"):
+        trajectory_return_search(s, SPECTRAL, 10, x0=[1.0, 0.0, 0.0])
+
+
 def test_trajectory_requires_two_steps():
     s = MatrixSet.from_arrays([np.eye(2)])
     with pytest.raises(ValueError):
@@ -473,10 +479,11 @@ def boca_sets():
 def boca_cases(m, d, limit=1000):
     """(cap, depth) pairs around the word-cap boundaries of n1 = 2d^2.
 
-    Caps sit at count_words(m, k) + {-1, 0, 1} (the sweep's total-words
-    rule), at m^k + {-1, 0, 1} (boca's own clamp) and at 1; depths at
-    n1 - 1, n1 and n1 + 1 for the n1 each cap leaves.  Pairs that clamp n1
-    and cut the sweep the same way are run once.
+    Caps sit at count_words(m, k) + {-1, 0, 1} (the budget rule), at
+    m^k + {-1, 0, 1} (one level's words) and at 1; depths from n1 - 2 to
+    n1 + 1 for the n1 each cap leaves, so that the two shallower ones
+    rebuild.  Pairs that clamp n1 and cut the sweep the same way are run
+    once.
     """
     n1_full, caps = 2 * d * d, {1}
     for k in range(1, n1_full + 2):
@@ -486,8 +493,8 @@ def boca_cases(m, d, limit=1000):
         caps |= {m**k + e for e in (-1, 0, 1)}
     seen = set()
     for cap in sorted(caps - {0}):
-        n1 = max((k for k in range(n1_full + 1) if m**k <= cap), default=0)
-        for depth in range(max(1, n1 - 1), n1 + 2):
+        n1 = max(k for k in range(n1_full + 1) if count_words(m, k) <= cap)
+        for depth in range(max(1, n1 - 2), n1 + 2):
             reach = max(k for k in range(depth + 1) if count_words(m, k) <= cap)
             if (n1, depth, reach) not in seen:
                 seen.add((n1, depth, reach))
@@ -526,25 +533,20 @@ def test_check_boca_reuse_matches_rebuild():
 
 def test_check_boca_reads_the_sweep_instead_of_rebuilding(monkeypatch):
     calls = []
+    sweep = certificates.jsr_estimate
 
-    def spy(name):
-        real = getattr(certificates, name)
+    def spy(s, config):
+        calls.append((config.depth, config.word_cap))
+        return sweep(s, config)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(certificates, name, wrapper)
-
-    spy("product_levels")
-    spy("max_operator_norm")
+    monkeypatch.setattr(certificates, "jsr_estimate", spy)
 
     def calls_for(n, iv, cap=WORD_CAP):
         calls.clear()
         check_boca_new(s, n, iv, word_cap=cap)
         return calls
 
-    rebuild = ["product_levels", "max_operator_norm"]
+    rebuild = [(8, WORD_CAP)]  # one sweep to n1 under the same budget
     s = unipotent_pair()  # n1 = 8
     ell = NormSpec.ellipsoidal([[2.0, 1.0], [0.0, 1.0]])
     swept = jsr_estimate(s, JsrConfig(depth=8))
@@ -558,12 +560,47 @@ def test_check_boca_reads_the_sweep_instead_of_rebuilding(monkeypatch):
     other = NormSpec.ellipsoidal(ell.g)  # an equal factor, another object
     assert calls_for(other, jsr_estimate(s, JsrConfig(8, ell))) == rebuild
     assert calls_for(SPECTRAL, jsr_estimate(s, JsrConfig(depth=7))) == rebuild
+    # 2^8 words hold levels 1 to 7 (254 words) but not 8: n1 clamps to 7,
+    # which the budget-cut sweep completed
     cut = jsr_estimate(s, JsrConfig(depth=8, word_cap=2**8))
     assert cut.diagnostics["budget_exhausted"] and len(cut.levels) == 7
-    assert calls_for(SPECTRAL, cut, cap=2**8) == rebuild
+    assert calls_for(SPECTRAL, cut, cap=2**8) == []
+    rep = check_boca_new(s, SPECTRAL, cut, word_cap=2**8)
+    assert rep.budget == {"n1": 7, "n1_full": 8, "clamped": True}
+    assert calls_for(SPECTRAL, jsr_estimate(s, JsrConfig(depth=6)), cap=2**8) == [(7, 2**8)]
     assert calls_for(SPECTRAL, swept.scaled(1.0)) == rebuild
     assert calls_for(SPECTRAL, JsrInterval(swept.lower, swept.upper, (0,), 1)) == rebuild
     assert calls_for(SPECTRAL, dataclasses.replace(swept, norm=None)) == rebuild
+
+
+def test_check_boca_builds_no_more_words_than_its_cap(monkeypatch):
+    # rows past level 1 come from core._children: at most the m^k words of
+    # each level 2 to n1, plus the m children of one parent that the last
+    # level's floor builds again, so at most count_words(m, n1) in all
+    built = []
+    children = core._children
+
+    def spy(stack, parents):
+        out = children(stack, parents)
+        built.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(core, "_children", spy)
+    monkeypatch.setattr(bounds, "_children", spy)
+    cases = [(build_family("unitary-mix", count=4, seed=1).matrices, 5**8)]
+    for s in boca_sets():
+        for k in range(1, 2 * s.dim**2 + 1):
+            if count_words(s.size, k) > 2000:
+                break
+            cases += [(s, count_words(s.size, k) + e) for e in (-1, 0, 1)]
+    for s, cap in cases:
+        built.clear()
+        try:
+            rep = check_boca_new(s, SPECTRAL, JsrInterval(0.0, 2.0, (0,), 1), word_cap=cap)
+        except BudgetExceededError:
+            assert cap < s.size
+            continue
+        assert sum(built) <= count_words(s.size, rep.budget["n1"]) <= cap
 
 
 def test_check_bg_el_scalar_one():

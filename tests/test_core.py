@@ -16,6 +16,7 @@ from jsrkit.core import (
     NormSpec,
     batch_operator_norms,
     batch_spectral_radii,
+    budget_depth,
     check_budget,
     count_words,
     eval_word,
@@ -396,3 +397,16 @@ def test_enumeration_budget():
         check_budget(2, 40, WORD_CAP, "product levels to depth 40")
     assert "cap" in str(err.value)
     assert check_budget(2, 3, WORD_CAP, "product levels to depth 3") == 14
+
+
+def test_budget_depth_is_the_deepest_level_the_cap_admits():
+    for m in (1, 2, 3, 4):
+        caps = {0, 1, WORD_CAP}
+        caps |= {count_words(m, k) + e for k in range(1, 12) for e in (-1, 0, 1)}
+        for cap in caps:
+            for depth in range(14):
+                brute = max(k for k in range(depth + 1) if count_words(m, k) <= cap)
+                assert budget_depth(m, depth, cap) == brute, (m, depth, cap)
+    # one letter has a closed form: no loop over the depth
+    assert budget_depth(1, 10**12, 7) == 7
+    assert budget_depth(1, 7, 10**12) == 7

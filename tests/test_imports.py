@@ -1,8 +1,8 @@
 """Every name a jsrkit module or test imports is used in it or re-exported,
 every name a module exports exists there once, every private top-level
 name of a module is read somewhere in the package, every function reads
-each of its parameters, and importing a module loads nothing beyond the
-stdlib and numpy."""
+each of its parameters, importing a module loads nothing beyond the
+stdlib and numpy, and only core compares a word count with a word cap."""
 
 import ast
 import importlib
@@ -168,3 +168,29 @@ def test_import_path_is_stdlib_and_numpy(path):
         for line, name in import_time_modules(tree)
         if name not in allowed
     ] == []
+
+
+def word_cap_comparisons(tree: ast.Module) -> list[str]:
+    """The top-level function around each comparison with ``word_cap``, as a
+    name or an attribute, among its operands."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                getattr(x, "id", getattr(x, "attr", None)) == "word_cap"
+                for x in (node.left, *node.comparators)
+            ):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_one_rule_decides_every_word_budget():
+    # core.budget_depth and core.check_budget compare a word count with the
+    # cap; siegel_combination's (t+1)^n counts sums, not words
+    found = [
+        f"{path.stem}.{func}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "core.py"
+        for func in word_cap_comparisons(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == ["certificates.siegel_combination"]
