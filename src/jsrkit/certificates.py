@@ -173,6 +173,8 @@ def siegel_combination(
     coefficient vectors is the answer.  The grid cell is sized so this is a
     complete search: a qualifying pair is found whenever one exists (the
     neighbor scan costs a factor 3^(2d), so this is for low dimensions).
+    Raises BudgetExceededError before building anything when (t+1)^n sums
+    or 3^(2d) neighbour cells exceed ``word_cap``.
 
     The pigeonhole hypothesis (1+t)^n > (1 + 2nt/eps)^d guarantees a
     collision for real data; pass ``enforce_hypothesis=False`` to search
@@ -198,9 +200,9 @@ def siegel_combination(
             f"(1+t)^n = {(1 + t) ** nv} does not exceed "
             f"(1 + 2nt/eps)^d = {(1.0 + 2.0 * nv * t / eps) ** d:.6g}"
         )
-    total = (1 + t) ** nv
+    total = max((1 + t) ** nv, 3 ** (2 * d))
     if total > word_cap:
-        raise BudgetExceededError(total, word_cap, "combination search enumeration")
+        raise BudgetExceededError(total, word_cap, "combination search sums or neighbour cells")
 
     # All sums sum_i b_i x_i with b_i in {0..t}; flat index sum_i b_i (t+1)^i.
     sums = np.zeros((1, d), dtype=np.complex128)
@@ -208,18 +210,12 @@ def siegel_combination(
         block = np.arange(t + 1)[:, None, None] * xmat[i][None, None, :]
         sums = (block + sums[None, :, :]).reshape(-1, d)
 
-    def digits(idx: int) -> np.ndarray:
-        out = np.empty(nv, dtype=np.int64)
-        for i in range(nv):
-            idx, out[i] = divmod(idx, t + 1)
-        return out
-
     cell = eps * _coordinate_bound(n)
     for idx, near in _grid_neighbours(sums, cell):
         for j in near:
             if vector_norm(sums[idx] - sums[j], n) <= eps:
-                c = digits(idx) - digits(j)
-                return tuple(int(v) for v in c)
+                b_idx, b_j = (word_from_index(k, nv, t + 1)[::-1] for k in (idx, j))
+                return tuple(x - y for x, y in zip(b_idx, b_j))
 
     raise CombinationNotFoundError(
         f"no combination with |c_i| <= {t} reaches norm <= {eps}"
@@ -303,7 +299,6 @@ def convex_hull_bound_check(
 
 _MAX_RESTARTS = 8  # fresh directions trajectory_return_search may try
 _K_BEST = 64  # most aligned return pairs trajectory_return_search certifies
-_HASH_CELL = 0.25  # grid cell of _hashed_pairs on long trajectories
 
 
 class ReturnSearchResult(NamedTuple):
@@ -317,7 +312,8 @@ def _closest_pairs(points: np.ndarray, k_best: int) -> list[tuple[float, int, in
 
     The score is phase invariant: a return to e^(i theta) x is as good as a
     return to x, since the phase can be absorbed into the eigenvalue
-    estimate.  All-pairs scan, one vectorized pass per endpoint j.
+    estimate.  All-pairs scan, one vectorized pass per endpoint j:
+    O(n^2 d) time for n points in dimension d, O(n) memory.
     """
     out: list[tuple[float, int, int]] = []
     for j in range(1, len(points)):
@@ -325,20 +321,6 @@ def _closest_pairs(points: np.ndarray, k_best: int) -> list[tuple[float, int, in
         scores = 1.0 - ip * ip
         i = int(np.argmin(scores))
         out.append((float(scores[i]), i, j))
-    return heapq.nsmallest(k_best, out)
-
-
-def _hashed_pairs(points: np.ndarray, k_best: int) -> list[tuple[float, int, int]]:
-    # Spatial hash over the raw positions for long trajectories.  Positional
-    # buckets miss returns that are only phase aligned; candidates that do
-    # collide are still scored phase invariantly.
-    out: list[tuple[float, int, int]] = []
-    for j, cand in _grid_neighbours(points, _HASH_CELL):
-        if cand:
-            ip = np.minimum(np.abs(points[cand] @ points[j].conj()), 1.0)
-            scores = 1.0 - ip * ip
-            b = int(np.argmin(scores))
-            out.append((float(scores[b]), cand[b], j))
     return heapq.nsmallest(k_best, out)
 
 
@@ -358,7 +340,9 @@ def trajectory_return_search(
     spectral norm 1) fixes x_i up to a small residual, and the resulting
     ResidualCertificate lower-bounds its spectral radius.  The best
     certificate over the ``_K_BEST`` most aligned return pairs is returned,
-    ties going to the shorter word.
+    ties going to the shorter word.  Each segment between restarts is
+    scanned for those pairs once, all pairs against all, in O(n^2 d) for n
+    points.
 
     ``norm`` is the NormSpec whose vector norm steers the greedy choice
     (the working norm); the caller should rescale ``s`` so its joint
@@ -427,8 +411,7 @@ def trajectory_return_search(
         if len(points) < 2:
             continue
         pts = np.array(points)
-        pairer = _closest_pairs if len(pts) <= 4096 else _hashed_pairs
-        for _, i, j in pairer(pts, _K_BEST):
+        for _, i, j in _closest_pairs(pts, _K_BEST):
             pairs_checked += 1
             word = tuple(letters[i:j])
             prod = eval_word(s, word)
@@ -615,14 +598,18 @@ def check_bg_el(
     *,
     interval: JsrInterval | None = None,
     seed: int = 0,
+    word_cap: int = WORD_CAP,
 ) -> TheoremReport:
     """Look for a word with rho(eval(w)) >= (1 - eps) jsr(S)^|w|.
 
     Expects ``s`` rescaled so the supplied (or freshly computed) enclosure
-    contains 1.  Dimension 1 honors the full guaranteed search length
+    contains 1.  Dimension 1 asks for the full guaranteed search length
     12/eps; higher dimensions treat ``maxlen`` as the practical budget
     (the guaranteed length grows like 3^d 4^(d^2) eps^(-d^2)), so a miss is
-    INCONCLUSIVE, never REFUTED.
+    INCONCLUSIVE, never REFUTED.  The trajectory is one word whose prefixes
+    are the words it visits, so ``budget_depth(1, length, word_cap)`` clamps
+    its length; ``required_length_honored`` is false when that cuts 12/eps,
+    and BudgetExceededError is raised when fewer than 2 steps fit.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -632,14 +619,12 @@ def check_bg_el(
         raise ValueError(
             "rescale the set so the joint spectral radius enclosure contains 1"
         )
-    d = s.dim
-    if d == 1:
-        required = math.ceil(12.0 / eps)
-        budget_len = max(maxlen, required)
-        honored = True
-    else:
-        budget_len = maxlen
-        honored = False
+    required = math.ceil(12.0 / eps) if s.dim == 1 else 0
+    length = max(maxlen, required)
+    budget_len = budget_depth(1, length, word_cap)
+    if budget_len < 2 <= length:
+        raise BudgetExceededError(2, word_cap, "a trajectory of at least 2 steps")
+    honored = 0 < required <= budget_len
     word, cert, diag = trajectory_return_search(s, SPECTRAL, budget_len, seed=seed)
     lhs = spectral_radius(eval_word(s, word))
     k = len(word)

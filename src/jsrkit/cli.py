@@ -251,6 +251,7 @@ def cmd_certify(args) -> int:
                 max(args.depth, 2),
                 interval=interval.scaled(factor),
                 seed=args.seed,
+                word_cap=args.cap,
             )
             results["rescaled_by"] = factor
         results["report"] = _theorem_record(rep)
@@ -333,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    cap_help = "word budget: words of every length up to the deepest level, summed"
+    cap_help = (
+        "word budget: words of every length up to the deepest level, summed;"
+        " each step of a bgel trajectory counts as one word"
+    )
     common.add_argument("--cap", type=int, default=WORD_CAP, help=cap_help)
     common.add_argument("--seed", type=int, default=0, help="seed echoed in reports")
     common.add_argument("--csv", metavar="PATH", help="write a CSV summary")

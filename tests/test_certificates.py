@@ -31,7 +31,7 @@ from jsrkit.core import (
     spectral_radius,
     vector_norm,
 )
-from jsrkit.families import FAMILY_NAMES, build_family
+from jsrkit.families import FAMILY_NAMES, build_family, unitary_mix
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
@@ -170,6 +170,12 @@ def test_siegel_complex_data_can_have_no_solution():
 def test_siegel_budget():
     with pytest.raises(BudgetExceededError):
         siegel_combination([np.array([0.5])] * 20, 3, 0.5)
+
+
+def test_siegel_budget_counts_neighbour_cells():
+    # two sums, but the neighbour scan would list 3^14 > WORD_CAP cells
+    with pytest.raises(BudgetExceededError, match="4782969"):
+        siegel_combination([np.full(7, 0.1)], 1, 0.5, enforce_hypothesis=False)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
@@ -627,24 +633,44 @@ def test_check_bg_el_unitary_with_contraction():
     assert rep.lhs >= rep.rhs_at_lower
 
 
-def test_check_bg_el_long_trajectory_uses_hashed_pairs(monkeypatch):
-    # d = 1 honors the full length 12/eps = 6,000, past the 4,096-point
-    # switch from the all-pairs scan to the spatial hash
-    from jsrkit import certificates
-
+def test_check_bg_el_scans_long_trajectories_all_pairs(monkeypatch):
+    # d = 1 honors the full length 12/eps = 6,000, and the one segment of
+    # 6,001 points goes through the all-pairs scan
     calls = []
-    hashed = certificates._hashed_pairs
+    closest = certificates._closest_pairs
 
     def spy(points, k_best):
         calls.append(len(points))
-        return hashed(points, k_best)
+        return closest(points, k_best)
 
-    monkeypatch.setattr(certificates, "_hashed_pairs", spy)
+    monkeypatch.setattr(certificates, "_closest_pairs", spy)
     s = MatrixSet.from_arrays([np.array([[np.exp(1j * GOLDEN_ANGLE)]]), np.array([[0.5]])])
     rep = check_bg_el(s, 0.002, 10, interval=jsr_estimate(s, JsrConfig(depth=4)))
     assert rep.budget["maxlen"] == 6000
-    assert calls and max(calls) > 4096
+    assert calls == [6001]
     assert rep.verdict is Verdict.CONFIRMED
+
+
+def test_trajectory_finds_the_closest_return_on_a_long_segment():
+    res = trajectory_return_search(unitary_mix(2, 4, 1), SPECTRAL, 6000, seed=0)
+    assert res.diagnostics["segments"][0] > 4096
+    assert res.certificate.bound > 0.93
+
+
+def test_check_bg_el_clamps_the_trajectory_to_the_word_cap():
+    # a trajectory is one word whose prefixes are the words it visits
+    s = MatrixSet.from_arrays([np.array([[0.6 + 0.8j]]), np.array([[0.5]])])
+    interval = jsr_estimate(s, JsrConfig(depth=4))
+    rep = check_bg_el(s, 1e-4, 10, interval=interval, word_cap=100)
+    assert rep.budget["maxlen"] == 100
+    assert not rep.budget["required_length_honored"]
+    assert rep.verdict is Verdict.CONFIRMED
+    for cap in (1199, 1200):  # 12 / eps = 1,200 steps fit a cap of 1,200
+        rep = check_bg_el(s, 0.01, 10, interval=interval, word_cap=cap)
+        assert rep.budget["maxlen"] == cap
+        assert rep.budget["required_length_honored"] is (cap == 1200)
+    with pytest.raises(BudgetExceededError):
+        check_bg_el(s, 1e-4, 10, interval=interval, word_cap=1)
 
 
 def test_check_bg_el_requires_unit_enclosure():

@@ -245,6 +245,18 @@ def test_certify_rotation_bgel_emits_witness(tmp_path, capsys):
     assert len(rep["witnesses"]["word"]) == 5
 
 
+def test_certify_bgel_honours_the_cap(tmp_path, capsys):
+    # d = 1 asks for 12 / eps = 120,000 trajectory steps; the cap clamps them
+    doc = InputDocument(MatrixSet.from_arrays([np.array([[0.6 + 0.8j]]), np.array([[0.5]])]))
+    path = write_doc(tmp_path, "c.json", doc)
+    code, out, _ = run(
+        capsys, "certify", path, "--theorem", "bgel", "--eps", "1e-4", "--cap", "100", "--quiet"
+    )
+    assert code == 0
+    budget = reports(out)[0]["results"]["report"]["budget"]
+    assert budget["maxlen"] <= 100 and not budget["required_length_honored"]
+
+
 def test_certify_inconclusive_exit_code(tmp_path, capsys):
     spec = build_family("unipotent-pair")
     path = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))

@@ -2,10 +2,12 @@
 every name a module exports exists there once, every private top-level
 name of a module is read somewhere in the package, every function reads
 each of its parameters, importing a module loads nothing beyond the
-stdlib and numpy, and only core compares a word count with a word cap."""
+stdlib and numpy, only core compares a word count with a word cap, and
+the CLI passes its cap to every call that takes one."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -184,9 +186,33 @@ def word_cap_comparisons(tree: ast.Module) -> list[str]:
     return found
 
 
+def takes_word_cap(obj) -> bool:
+    try:
+        return "word_cap" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # no signature, as for exception classes
+        return False
+
+
+def test_cli_passes_the_cap_to_every_budgeted_call():
+    # a command that left out word_cap would run under the default cap
+    # whatever --cap said
+    from jsrkit import cli
+
+    checked, missing = set(), []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            target = getattr(cli, node.func.id, None)
+            if getattr(target, "__module__", "").startswith("jsrkit") and takes_word_cap(target):
+                checked.add(node.func.id)
+                if "word_cap" not in [k.arg for k in node.keywords]:
+                    missing.append(f"cli.py:{node.lineno}: {node.func.id}")
+    assert missing == []
+    assert {"JsrConfig", "check_bg_el", "check_polbd", "check_ultra_boca"} <= checked
+
+
 def test_one_rule_decides_every_word_budget():
     # core.budget_depth and core.check_budget compare a word count with the
-    # cap; siegel_combination's (t+1)^n counts sums, not words
+    # cap; siegel_combination's count is of sums and neighbour cells, not words
     found = [
         f"{path.stem}.{func}"
         for path in sorted(SRC.glob("*.py"))
