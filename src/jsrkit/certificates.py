@@ -489,20 +489,33 @@ class TheoremReport:
     """Outcome of checking one explicit inequality on a matrix set.
 
     ``lhs`` is the computed left-hand side; ``rhs_at_lower`` and
-    ``rhs_at_upper`` evaluate the right-hand side with the joint spectral
-    radius replaced by each end of the supplied enclosure.  The verdict is
-    CONFIRMED when the inequality holds at the endpoint that makes the
-    claim strongest, REFUTED when it fails at the endpoint that makes it
-    weakest (and the budget was not clamped), INCONCLUSIVE otherwise.
+    ``rhs_at_upper`` evaluate the right-hand side, which grows with the
+    joint spectral radius, at each end of the supplied enclosure.  The
+    verdict is CONFIRMED when the inequality (lhs <= rhs if ``at_most``,
+    else lhs >= rhs) holds at the end that makes the claim strongest,
+    REFUTED when it fails by more than ``TOL_REL`` at the weakest end and
+    is ``refutable`` (false for a clamped run, and for BG_EL, whose miss
+    proves nothing), INCONCLUSIVE otherwise.  So BG_EL is CONFIRMED only
+    when rho(w) >= (1 - eps) upper^|w|.
     """
 
     theorem_id: str
     lhs: float
     rhs_at_lower: float
     rhs_at_upper: float
-    verdict: Verdict
+    at_most: bool
+    refutable: bool
     witnesses: dict = field(default_factory=dict)
     budget: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> Verdict:
+        lhs, lo, up = self.lhs, self.rhs_at_lower, self.rhs_at_upper
+        holds = lhs <= lo if self.at_most else lhs >= up
+        fails = lhs > up * (1.0 + TOL_REL) if self.at_most else lhs < lo * (1.0 - TOL_REL)
+        if holds:
+            return Verdict.CONFIRMED
+        return Verdict.REFUTED if self.refutable and fails else Verdict.INCONCLUSIVE
 
 
 def check_polbd(
@@ -523,23 +536,17 @@ def check_polbd(
     depth = budget_depth(s.size, depth_full, word_cap)
     if depth < 1:
         raise BudgetExceededError(s.size, word_cap, "peak radius at depth 1")
-    peak = jsr_estimate(s, JsrConfig(depth, NormSpec.max_row_sum(), word_cap))
+    peak = lower_bound(s, depth, word_cap=word_cap)
     clamped = depth < depth_full
     c = 1.0 / (2**8 * d**5)
-    rhs_lo, rhs_up = c * interval.lower, c * interval.upper
-    if peak.lower >= rhs_up:
-        verdict = Verdict.CONFIRMED
-    elif not clamped and peak.lower < rhs_lo * (1.0 - TOL_REL):
-        verdict = Verdict.REFUTED
-    else:
-        verdict = Verdict.INCONCLUSIVE
     return TheoremReport(
         "POLBD",
-        peak.lower,
-        rhs_lo,
-        rhs_up,
-        verdict,
-        witnesses={"word": peak.lower_witness},
+        peak.value,
+        c * interval.lower,
+        c * interval.upper,
+        at_most=False,
+        refutable=not clamped,
+        witnesses={"word": peak.witness},
         budget={"depth": depth, "depth_full": depth_full, "clamped": clamped},
     )
 
@@ -573,19 +580,14 @@ def check_boca_new(
     with np.errstate(over="ignore"):  # the same libm pow as float **, but saturating
         base = float(2**7 * d**4 * np.float64(set_norm(s, n)) ** (n1 - 1))
     rhs_lo, rhs_up = (base * x if x else 0.0 for x in (interval.lower, interval.upper))
-    if lhs <= rhs_lo:
-        verdict = Verdict.CONFIRMED
-    elif not clamped and lhs > rhs_up * (1.0 + TOL_REL):
-        verdict = Verdict.REFUTED
-    else:
-        verdict = Verdict.INCONCLUSIVE
     ratio = lhs / rhs_lo if 0 < rhs_lo < math.inf else math.inf if lhs > rhs_lo else 0.0
     return TheoremReport(
         "BOCA_NEW",
         lhs,
         rhs_lo,
         rhs_up,
-        verdict,
+        at_most=True,
+        refutable=not clamped,
         witnesses={"word": word_from_index(idx, n1, s.size), "ratio": ratio},
         budget={"n1": n1, "n1_full": n1_full, "clamped": clamped},
     )
@@ -596,25 +598,24 @@ def check_bg_el(
     eps: float,
     maxlen: int,
     *,
-    interval: JsrInterval | None = None,
+    interval: JsrInterval,
     seed: int = 0,
     word_cap: int = WORD_CAP,
 ) -> TheoremReport:
     """Look for a word with rho(eval(w)) >= (1 - eps) jsr(S)^|w|.
 
-    Expects ``s`` rescaled so the supplied (or freshly computed) enclosure
-    contains 1.  Dimension 1 asks for the full guaranteed search length
-    12/eps; higher dimensions treat ``maxlen`` as the practical budget
-    (the guaranteed length grows like 3^d 4^(d^2) eps^(-d^2)), so a miss is
-    INCONCLUSIVE, never REFUTED.  The trajectory is one word whose prefixes
-    are the words it visits, so ``budget_depth(1, length, word_cap)`` clamps
-    its length; ``required_length_honored`` is false when that cuts 12/eps,
-    and BudgetExceededError is raised when fewer than 2 steps fit.
+    Expects ``s`` rescaled so ``interval`` contains 1; CONFIRMED only when
+    rho(w) >= (1 - eps) upper^|w|.  Dimension 1 asks for the full guaranteed
+    search length 12/eps; higher dimensions treat ``maxlen`` as the practical
+    budget (the guaranteed length grows like 3^d 4^(d^2) eps^(-d^2)), so a
+    miss is INCONCLUSIVE, never REFUTED.  The trajectory is one word whose
+    prefixes are the words it visits, so ``budget_depth(1, length,
+    word_cap)`` clamps its length; ``required_length_honored`` is false when
+    that cuts 12/eps, and BudgetExceededError is raised when fewer than 2
+    steps fit.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if interval is None:
-        interval = jsr_estimate(s)
     if interval.lower > 1.0 + TOL_REL or interval.upper < 1.0 - TOL_REL:
         raise ValueError(
             "rescale the set so the joint spectral radius enclosure contains 1"
@@ -628,15 +629,13 @@ def check_bg_el(
     word, cert, diag = trajectory_return_search(s, SPECTRAL, budget_len, seed=seed)
     lhs = spectral_radius(eval_word(s, word))
     k = len(word)
-    rhs_lo = (1.0 - eps) * interval.lower**k
-    rhs_up = (1.0 - eps) * interval.upper**k
-    verdict = Verdict.CONFIRMED if lhs >= rhs_lo else Verdict.INCONCLUSIVE
     return TheoremReport(
         "BG_EL",
         lhs,
-        rhs_lo,
-        rhs_up,
-        verdict,
+        (1.0 - eps) * interval.lower**k,
+        (1.0 - eps) * interval.upper**k,
+        at_most=False,
+        refutable=False,
         witnesses={"word": word, "residual": cert.residual},
         budget={
             "maxlen": budget_len,

@@ -675,12 +675,86 @@ def test_check_bg_el_clamps_the_trajectory_to_the_word_cap():
 
 def test_check_bg_el_requires_unit_enclosure():
     s = MatrixSet.from_arrays([np.eye(2) / 2])
+    # the enclosure is required: a sweep of its own would ignore word_cap
+    with pytest.raises(TypeError, match="interval"):
+        check_bg_el(s.scaled(2.0), 0.5, 10, word_cap=3)
     with pytest.raises(ValueError, match="rescale"):
         check_bg_el(s, 0.5, 10, interval=jsr_estimate(s, JsrConfig(depth=4)))
 
 
-def test_check_bg_el_never_refutes():
-    for seed in range(3):
-        s = unipotent_pair(1 / PHI)
-        rep = check_bg_el(s, 0.3, 48, interval=jsr_estimate(s, JsrConfig(depth=8)), seed=seed)
-        assert rep.verdict in (Verdict.CONFIRMED, Verdict.INCONCLUSIVE)
+def test_check_bg_el_confirms_only_at_the_upper_end():
+    # the seeded Gaussian pair at depth 1: rho(w) = 0.628 clears
+    # (1 - eps) lower^|w| = 0.471 but not (1 - eps) upper^|w| = 0.75, and
+    # the radius may sit anywhere in the enclosure
+    rng = np.random.default_rng(0)
+    mats = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    s = MatrixSet.from_arrays(list(mats))
+    interval = jsr_estimate(s, JsrConfig(depth=1))
+    factor = 1.0 / interval.upper
+    rep = check_bg_el(s.scaled(factor), 0.25, 2, interval=interval.scaled(factor))
+    assert rep.lhs == pytest.approx(0.6282, abs=1e-4)
+    assert rep.rhs_at_lower < rep.lhs < rep.rhs_at_upper
+    assert rep.verdict is Verdict.INCONCLUSIVE
+
+
+def seeded_sets(count):
+    """``count`` seeded sets with m and d in 1..3: complex Gaussian, rounded
+    to halves, and strictly upper triangular (nilpotent) in turn."""
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng(i)
+        m, d, kind = 1 + i % 3, 1 + (i // 3) % 3, (i // 9) % 3
+        z = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+        z = (z, np.round(2 * z.real) / 2, np.triu(z, 1))[kind]
+        out.append(MatrixSet.from_arrays(list(z)))
+    return out
+
+
+def theorem_reports(s, depth, cap):
+    """polbd, boca and bgel (rescaled as ``jsrkit certify`` does) on the
+    swept enclosure, a wrong [0, 0] and a loose [0, 1e9] one."""
+    interval = jsr_estimate(s, JsrConfig(depth, SPECTRAL, cap))
+    for e in (interval, JsrInterval(0.0, 0.0, (0,), 1), JsrInterval(0.0, 1e9, (0,), 1)):
+        yield check_polbd(s, e, word_cap=cap)
+        yield check_boca_new(s, SPECTRAL, e, word_cap=cap)
+        f = 1.0 / e.upper if e.upper else 0.0
+        try:
+            yield check_bg_el(
+                s.scaled(f), 0.25, max(depth, 2), interval=e.scaled(f), word_cap=cap
+            )
+        except ValueError as err:  # a zero set, or every trajectory dies
+            assert "rescale" in str(err) or "annihilated" in str(err)
+
+
+def test_every_verdict_agrees_with_its_numbers():
+    # CONFIRMED exactly when the inequality holds at its strong end, REFUTED
+    # exactly when an unclamped run fails at its weak end by more than
+    # TOL_REL, INCONCLUSIVE otherwise; bgel never refutes
+    at_most = {"POLBD": False, "BOCA_NEW": True, "BG_EL": False}
+    sets = [build_family(name, dim=d).matrices for name in FAMILY_NAMES for d in (2, 3)]
+    reports = [
+        rep
+        for s in sets + seeded_sets(150)
+        for depth, cap in ((1, 50), (2, 5000), (4, 200), (4, 20_000))
+        for rep in theorem_reports(s, depth, cap)
+    ]
+    s = unipotent_pair(1 / PHI)
+    interval = jsr_estimate(s, JsrConfig(depth=8))
+    reports += [check_bg_el(s, 0.3, 48, interval=interval, seed=seed) for seed in range(3)]
+    seen = dict.fromkeys(Verdict, 0)
+    for rep in reports:
+        lhs, lo, up = rep.lhs, rep.rhs_at_lower, rep.rhs_at_upper
+        if at_most[rep.theorem_id]:
+            holds, fails = lhs <= lo, lhs > up * (1 + core.TOL_REL)
+        else:
+            holds, fails = lhs >= up, lhs < lo * (1 - core.TOL_REL)
+        refutable = rep.theorem_id != "BG_EL" and not rep.budget["clamped"]
+        if holds:
+            expected = Verdict.CONFIRMED
+        elif refutable and fails:
+            expected = Verdict.REFUTED
+        else:
+            expected = Verdict.INCONCLUSIVE
+        assert rep.verdict is expected, rep
+        seen[expected] += 1
+    assert min(seen.values()) > 0, seen

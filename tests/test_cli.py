@@ -267,6 +267,24 @@ def test_certify_inconclusive_exit_code(tmp_path, capsys):
     assert reports(out)[0]["results"]["report"]["verdict"] == "INCONCLUSIVE"
 
 
+def test_certify_bgel_confirms_only_at_the_upper_end(tmp_path, capsys):
+    # the Jordan block's enclosure [1, 4.236] at depth 1, rescaled to
+    # [0.236, 1]: rho(w) = 0.236 clears (1 - eps) lower^|w| but not
+    # (1 - eps) upper^|w|, so the radius may still exceed what w shows
+    path = tmp_path / "J.json"
+    path.write_text(
+        '{"format": 1, "dim": 2, "field": "complex", '
+        '"members": [[[[1, 0], [4, 0]], [[0, 0], [1, 0]]]]}'
+    )
+    code, out, _ = run(capsys, "certify", str(path), "--theorem", "bgel", "--depth", "1")
+    assert code == 2
+    rep = reports(out)[0]["results"]["report"]
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["lhs"] == pytest.approx(math.sqrt(5) - 2)
+    assert rep["rhs_at_lower"] == pytest.approx(0.75 * (math.sqrt(5) - 2))
+    assert rep["rhs_at_upper"] == pytest.approx(0.75)
+
+
 def test_certify_bgel_without_a_level_is_a_budget_error(tmp_path, capsys):
     spec = build_family("unipotent-pair")
     path = write_doc(tmp_path, "u.json", InputDocument(spec.matrices))

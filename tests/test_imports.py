@@ -2,8 +2,9 @@
 every name a module exports exists there once, every private top-level
 name of a module is read somewhere in the package, every function reads
 each of its parameters, importing a module loads nothing beyond the
-stdlib and numpy, only core compares a word count with a word cap, and
-the CLI passes its cap to every call that takes one."""
+stdlib and numpy, only core compares a word count with a word cap, the
+CLI passes its cap to every call that takes one, and only
+TheoremReport.verdict decides a verdict."""
 
 import ast
 import importlib
@@ -220,3 +221,34 @@ def test_one_rule_decides_every_word_budget():
         for func in word_cap_comparisons(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == ["certificates.siegel_combination"]
+
+
+def definitions(tree: ast.Module):
+    """(name, node) for each top-level statement, and ``Class.name`` for
+    each statement of a class body."""
+
+    def name(node) -> str:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        return getattr(node, "name", None) or getattr(targets[0], "id", "<module>")
+
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{name(n)}", n) for n in top.body)
+        else:
+            yield name(top), top
+
+
+def test_one_rule_decides_every_verdict():
+    # a checker reports its numbers and TheoremReport.verdict reads the
+    # verdict off them; the CLI only maps verdicts to exit codes
+    members = {"CONFIRMED", "REFUTED", "INCONCLUSIVE"}
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, node in definitions(ast.parse(path.read_text(), filename=str(path)))
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and getattr(n.value, "id", None) == "Verdict"
+        and n.attr in members
+    }
+    assert found == {"certificates.TheoremReport.verdict", "cli._VERDICT_EXIT"}
