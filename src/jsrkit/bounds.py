@@ -97,7 +97,8 @@ class DivergentSeriesError(JsrError):
 
 
 class IndeterminateRankError(JsrError):
-    """A rank decision fell inside the tolerance band; rescale and retry."""
+    """A rank decision fell inside the tolerance band: a singular value lies
+    within a factor ``_BAND`` of the threshold."""
 
 
 class LowerBound(NamedTuple):
@@ -568,48 +569,34 @@ def barabanov_approx(
 # --- nilpotency of the generated algebra -------------------------------------
 
 _TOL_RANK = 1e-8  # relative rank threshold of nilpotency_test
-_BAND = 10.0  # pivots within this factor of the threshold are indeterminate
+_BAND = 10.0  # singular values within this factor of the threshold are indeterminate
 
 
-def _accept_directions(
-    cand: np.ndarray, q: np.ndarray | None, ref_scale: float
-) -> np.ndarray | None:
+def _accept_directions(cand: np.ndarray, q: np.ndarray | None) -> np.ndarray | None:
     """Orthonormal new directions from candidate columns, or None if none.
 
-    Rank decisions use a pivoted QR with threshold
-    ``_TOL_RANK * max(ref_scale, max column norm)``; pivots falling inside
-    the band ``(threshold / _BAND, threshold * _BAND)`` raise
-    IndeterminateRankError because the rank is not numerically well
-    determined there.  ``ref_scale`` anchors the threshold to the scale of
-    the generating set, so that a candidate which is tiny relative to the
-    set (and tiny relative to nothing else, e.g. the only product around)
-    is still treated as a borderline rank decision rather than judged
-    against its own magnitude.
+    The candidates are first orthogonalised against ``q``.  Their rank is
+    the number of singular values at or above ``threshold * _BAND``, where
+    ``threshold = _TOL_RANK * max(1, max column norm)``, and the new
+    directions are the leading left singular vectors.  A singular value
+    inside the band ``(threshold / _BAND, threshold * _BAND)`` raises
+    IndeterminateRankError, because the rank is not numerically well
+    determined there.  The floor 1 is the scale of the set, which
+    ``nilpotency_test`` normalises, so a candidate that is tiny against the
+    set is judged against the set and not against its own magnitude.
     """
-    # imported here so that no CLI command pays scipy's start-up cost
-    import scipy.linalg
-
-    if cand.size == 0:
-        return None
-    cand_scale = float(np.linalg.norm(cand, axis=0).max())
-    if cand_scale == 0.0:
-        return None
+    threshold = _TOL_RANK * max(1.0, float(np.linalg.norm(cand, axis=0).max()))
     if q is not None:
         cand = cand - q @ (q.conj().T @ cand)
         cand = cand - q @ (q.conj().T @ cand)  # re-orthogonalize once
-    threshold = _TOL_RANK * max(ref_scale, cand_scale)
-    qf, rf, _ = scipy.linalg.qr(cand, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(rf))
-    inside_band = (diag > threshold / _BAND) & (diag < threshold * _BAND)
-    if inside_band.any():
+    u, sv, _ = np.linalg.svd(cand, full_matrices=False)
+    if ((sv > threshold / _BAND) & (sv < threshold * _BAND)).any():
         raise IndeterminateRankError(
-            f"rank decision indeterminate: pivot magnitude within a factor "
-            f"{_BAND:g} of the threshold {threshold:.3e}; rescale the input"
+            f"rank decision indeterminate: a singular value lies within a "
+            f"factor {_BAND:g} of the threshold {threshold:.3e}"
         )
-    rank = int((diag >= threshold * _BAND).sum())
-    if rank == 0:
-        return None
-    return qf[:, :rank]
+    rank = int((sv >= threshold * _BAND).sum())
+    return u[:, :rank] if rank else None
 
 
 def nilpotency_test(s: MatrixSet) -> NilpotencyResult:
@@ -618,37 +605,34 @@ def nilpotency_test(s: MatrixSet) -> NilpotencyResult:
     Builds a basis of span(S, S^2, ...) by saturating left-multiplication,
     then checks whether d-fold products of the algebra vanish (for a
     nilpotent subalgebra of d x d matrices the nilpotency index is at most
-    d).  Rank decisions too close to the tolerance raise
-    IndeterminateRankError instead of guessing.
+    d).  The set is first divided by the power of two that puts its largest
+    real or imaginary part in [1/2, 1); the division is exact, so the
+    answer does not depend on the scale of the input.  Rank decisions read
+    the singular values (see ``_accept_directions``); one too close to the
+    tolerance raises IndeterminateRankError instead of guessing.
     """
     d = s.dim
-    mats = s.stack
-    ref = max(float(np.linalg.norm(m)) for m in mats)
+    parts = s.stack.view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    mats = np.ldexp(parts, -e).view(np.complex128)
 
-    q = _accept_directions(mats.reshape(s.size, -1).T, None, ref)
+    q = _accept_directions(mats.reshape(s.size, -1).T, None)
     if q is None:
-        # every member is (numerically) zero
+        # every member is zero
         return NilpotencyResult(True, 0)
     while True:
-        basis = [q[:, j].reshape(d, d) for j in range(q.shape[1])]
-        cand = np.stack(
-            [(m @ b).reshape(-1) for m in mats for b in basis], axis=1
-        )
-        new = _accept_directions(cand, q, ref)
+        basis = q.T.reshape(-1, d, d)
+        new = _accept_directions((mats[:, None] @ basis).reshape(-1, d * d).T, q)
         if new is None:
             break
         q = np.concatenate([q, new], axis=1)
 
-    algebra = [q[:, j].reshape(d, d) for j in range(q.shape[1])]
-    algebra_dim = len(algebra)
-
-    layer = q
+    algebra = q.T.reshape(-1, d, d)
+    layer = algebra
     for _ in range(d - 1):
-        mats_layer = [layer[:, j].reshape(d, d) for j in range(layer.shape[1])]
-        cand = np.stack(
-            [(a @ w).reshape(-1) for a in algebra for w in mats_layer], axis=1
-        )
-        layer = _accept_directions(cand, None, ref)
+        cand = (algebra[:, None] @ layer).reshape(-1, d * d).T
+        layer = _accept_directions(cand, None)
         if layer is None:
-            return NilpotencyResult(True, algebra_dim)
-    return NilpotencyResult(False, algebra_dim)
+            return NilpotencyResult(True, len(algebra))
+        layer = layer.T.reshape(-1, d, d)
+    return NilpotencyResult(False, len(algebra))

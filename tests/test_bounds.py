@@ -587,7 +587,7 @@ def test_nilpotency_strictly_triangular_pair():
 
 def test_nilpotency_indeterminate_band():
     s = MatrixSet.from_arrays([elem(0, 1, 2) + 3e-8 * elem(1, 0, 2)])
-    with pytest.raises(IndeterminateRankError):
+    with pytest.raises(IndeterminateRankError, match="a singular value lies within a factor 10"):
         nilpotency_test(s)
 
 

@@ -1,9 +1,9 @@
 """Every name a jsrkit module or test imports is used in it or re-exported,
 every name a module exports exists there once, every private top-level
 name of a module is read somewhere in the package, every function reads
-each of its parameters, importing a module loads nothing beyond the
-stdlib and numpy, only core compares a word count with a word cap, the
-CLI passes its cap to every call that takes one, and only
+each of its parameters, no module imports anything beyond the stdlib and
+numpy (not even inside a function), only core compares a word count with
+a word cap, the CLI passes its cap to every call that takes one, and only
 TheoremReport.verdict decides a verdict."""
 
 import ast
@@ -141,34 +141,28 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
-def import_time_modules(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, top-level package) of every import that runs when the module
-    is imported: all but those inside a function body."""
+def imported_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, top-level package) of every import in the module, function
+    bodies included."""
     found = []
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.extend((node.lineno, alias.name.split(".")[0]) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             # a relative import stays inside jsrkit
             found.append((node.lineno, "jsrkit" if node.level else node.module.split(".")[0]))
-        else:
-            stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_import_path_is_stdlib_and_numpy(path):
-    # every CLI command pays for what its modules import at load time;
-    # heavier dependencies are imported inside the function that needs them
+    # jsrkit depends on numpy alone: no module imports another third-party
+    # package, not even lazily inside a function
     allowed = set(sys.stdlib_module_names) | {"numpy", "jsrkit"}
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [
         f"{path.name}:{line}: {name}"
-        for line, name in import_time_modules(tree)
+        for line, name in imported_modules(tree)
         if name not in allowed
     ] == []
 

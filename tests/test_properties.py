@@ -3,10 +3,11 @@
 Every check walks a seeded stream of random matrix sets and asserts an
 algebraic identity the estimators must satisfy: the sandwich ordering,
 depth monotonicity, scaling and conjugation equivariance, the power
-identity, nilpotent collapse, and agreement between the pruned combined
-sweep and the plain exhaustive bounds.  The checks are plain functions
-parameterized by instance count so the acceptance suite can re-run them at
-its mandated scale.
+identity, nilpotent collapse, nilpotency answers that do not depend on
+scale and agree with the exact test, and agreement between the pruned
+combined sweep and the plain exhaustive bounds.  The checks are plain
+functions parameterized by instance count so the acceptance suite can
+re-run them at its mandated scale.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from jsrkit.bounds import (
     upper_bound,
 )
 from jsrkit.core import SPECTRAL, MatrixSet, NormSpec, product_levels
+from jsrkit.families import elementary, eps_identity, shift, unipotent_pair, unitary_mix
+from jsrkit.ultrametric import PAdicMatrixSet, padic_nilpotency_exact
 
 RTOL = 1e-9
 NORMS = (SPECTRAL, NormSpec.max_row_sum(), NormSpec.max_col_sum())
@@ -41,6 +44,12 @@ def conjugated(s: MatrixSet, g) -> MatrixSet:
     g = np.asarray(g, dtype=np.complex128)
     g_inv = np.linalg.inv(g)
     return MatrixSet.from_arrays([g @ m @ g_inv for m in s.stack])
+
+
+def signed_permutation(rng: np.random.Generator, d: int) -> np.ndarray:
+    perm = np.zeros((d, d))
+    perm[np.arange(d), rng.permutation(d)] = rng.choice([-1.0, 1.0], size=d)
+    return perm
 
 
 def squared(s: MatrixSet) -> MatrixSet:
@@ -114,13 +123,48 @@ def check_nilpotent_collapse(n: int = 200, seed: int = 127):
     for _ in range(n):
         s = random_set(rng, nilpotent=True)
         d = s.dim
-        perm = np.zeros((d, d))
-        perm[np.arange(d), rng.permutation(d)] = rng.choice([-1.0, 1.0], size=d)
-        sc = conjugated(s, perm)
+        sc = conjugated(s, signed_permutation(rng, d))
         result = nilpotency_test(sc)
         assert result.nilpotent
         assert result.algebra_dim <= d * (d - 1) // 2
         assert upper_bound(sc, d) == 0.0
+
+
+NILPOTENCY_SCALES = (2.0**300, 2.0**-300, 1e9, 1e-9, 2.0**-1070)
+
+
+def check_nilpotency_scale_invariance(n: int = 100, seed: int = 139):
+    # nilpotency does not depend on scale; each set is first scaled so its
+    # largest |entry| is 1, so that even 2^-1070 times it keeps a few bits
+    rng = np.random.default_rng(seed)
+    sets = [unipotent_pair()]
+    for d in (2, 3):
+        sets += [elementary(d), shift(d), unitary_mix(d, count=4), eps_identity(d, count=4)]
+    sets += [random_set(rng, nilpotent=bool(i % 2)) for i in range(n)]
+    for s in sets:
+        base = s.scaled(1 / np.abs(s.stack).max())
+        expected = nilpotency_test(base)
+        for c in NILPOTENCY_SCALES:
+            assert nilpotency_test(base.scaled(c)) == expected, (base.stack, c)
+
+
+def check_nilpotency_matches_exact(n: int = 300, seed: int = 149):
+    # small-integer sets, whose nilpotency padic_nilpotency_exact decides
+    # exactly: random, strictly upper triangular behind a signed permutation,
+    # and upper triangular
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        a = rng.integers(-2, 3, size=(m, d, d))
+        kind = i % 3  # random, upper triangular, strictly upper triangular
+        if kind:
+            a = np.triu(a, k=kind - 1)
+        if kind == 2:
+            g = signed_permutation(rng, d).astype(int)
+            a = g @ a @ g.T
+        exact = padic_nilpotency_exact(PAdicMatrixSet(a.tolist(), 2))
+        for c in (2.0**-300, 1e-9, 1.0, 1e9, 2.0**300):
+            assert nilpotency_test(MatrixSet(c * a)).nilpotent == exact, (a, c)
 
 
 def check_conjugation_search_dominates_lower(n: int = 500, seed: int = 131):
@@ -180,6 +224,14 @@ def test_power_identity():
 
 def test_nilpotent_collapse():
     check_nilpotent_collapse()
+
+
+def test_nilpotency_scale_invariance():
+    check_nilpotency_scale_invariance()
+
+
+def test_nilpotency_matches_exact():
+    check_nilpotency_matches_exact()
 
 
 def test_conjugation_search_dominates_lower():
